@@ -1,4 +1,4 @@
-"""Deterministic audio ingestion and spectral primitives.
+"""Deterministic audio ingestion, spectral primitives and frame-mask runs.
 
 Everything downstream (segmentation, features, syllable rates) is built on the
 three types defined here: AudioClip, SpectralFrameSeq and EnvelopeSeq.  All
@@ -150,15 +150,12 @@ def power_spectrogram(
     clip: AudioClip,
     frame_len_s: float = DEFAULT_FRAME_LEN_S,
     frame_hop_s: float = DEFAULT_FRAME_HOP_S,
-    window: str = "hann",
 ) -> SpectralFrameSeq:
     """Hann-windowed short-time power spectrum.
 
     Frame count is floor((N - frame_len) / hop) + 1.  Per-frame powers obey
     Parseval: summing a row gives the windowed frame's time-domain energy.
     """
-    if window != "hann":
-        raise AudioError(f"unsupported window {window!r}")
     frame_len = int(round(frame_len_s * clip.sample_rate))
     hop = int(round(frame_hop_s * clip.sample_rate))
     if frame_len < 2:
@@ -201,3 +198,9 @@ def amplitude_envelope(clip: AudioClip, rate_hz: float = 100.0) -> EnvelopeSeq:
         trimmed = clip.samples[: n_win * win]
     rms = np.sqrt(np.mean(trimmed.reshape(n_win, win) ** 2, axis=1))
     return EnvelopeSeq(values=rms, rate_hz=clip.sample_rate / win)
+
+
+def runs(mask) -> tuple[np.ndarray, np.ndarray]:
+    """Start and end (exclusive) indices of the maximal True runs of a 1-D mask."""
+    edges = np.diff(np.concatenate(([0], np.asarray(mask, dtype=np.int8), [0])))
+    return np.flatnonzero(edges == 1), np.flatnonzero(edges == -1)

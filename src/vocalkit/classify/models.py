@@ -8,7 +8,7 @@ ensembles consume raw values.  Argmax ties resolve to the lowest class index.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

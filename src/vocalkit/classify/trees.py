@@ -33,13 +33,6 @@ class Tree:
             active = self.feature[node] >= 0
         return self.value[node]
 
-    def predict_row_slow(self, row: np.ndarray):
-        """Reference single-row traversal (used to cross-check predict)."""
-        i = 0
-        while self.feature[i] >= 0:
-            i = self.left[i] if row[self.feature[i]] <= self.threshold[i] else self.right[i]
-        return self.value[i]
-
 
 class _Builder:
     def __init__(self, value_dim: int):

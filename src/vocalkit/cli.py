@@ -38,7 +38,6 @@ def _build_parser() -> argparse.ArgumentParser:
                 help=f"output directory (default: ${OUT_ENV_VAR} or ./out)",
             )
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--jobs", type=int, default=1)
         p.add_argument(
             "--feature-set",
             action="append",
@@ -94,7 +93,6 @@ def _run_config(args) -> RunConfig:
         prominence_cutoff=args.prominence_cutoff,
         folds=args.folds,
         per_class_quota=args.per_class_quota,
-        jobs=args.jobs,
         **kwargs,
     )
 

@@ -20,6 +20,7 @@ from scipy.special import betainc
 from .classify import TrainedModel, predict_proba
 
 PROMINENCE_CUTOFF = 0.04
+SHAP_BACKGROUND_SIZE = 32  # background rows drawn by mean_abs_shap
 SIGNIFICANCE_ALPHA = 0.05
 
 DIM_TYPES = ("Energy", "Frequency", "Temporal", "Spectral")
@@ -185,7 +186,6 @@ def mean_abs_shap(
     seed: int = 0,
     n_permutations: int = 200,
     cutoff: float = PROMINENCE_CUTOFF,
-    background_size: int = 32,
 ) -> list[ShapRow]:
     """Mean |Shapley value| per feature over sampled rows, sorted descending.
 
@@ -198,7 +198,7 @@ def mean_abs_shap(
     sample_size = min(sample_size or n, n)
     rng = np.random.default_rng(seed)
     sample_idx = np.sort(rng.choice(n, size=sample_size, replace=False))
-    bg_idx = np.sort(rng.choice(n, size=min(background_size, n), replace=False))
+    bg_idx = np.sort(rng.choice(n, size=min(SHAP_BACKGROUND_SIZE, n), replace=False))
     background = X[bg_idx]
     total = np.zeros(d)
     for pos, i in enumerate(sample_idx):

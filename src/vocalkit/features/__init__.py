@@ -1,7 +1,6 @@
 from .vector import FEATURE_SET_DIMS, FeatureError, FeatureVector, compare_feature_set
 from .spectral import (
     log_mel_frames,
-    lpc_power_spectrum,
     mel_filterbank,
     mfcc,
     plp,
@@ -23,7 +22,6 @@ __all__ = [
     "FeatureVector",
     "compare_feature_set",
     "log_mel_frames",
-    "lpc_power_spectrum",
     "mel_filterbank",
     "mfcc",
     "plp",

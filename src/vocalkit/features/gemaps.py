@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.signal import find_peaks
 
-from ..audio import AudioClip, power_spectrogram
+from ..audio import AudioClip, power_spectrogram, runs
 from .pitch import F0_REF_HZ, f0_contour, loudness_contour
 from .vector import FeatureError, FeatureVector
 
@@ -105,36 +105,10 @@ def _monotone_run_slopes(y: np.ndarray, dt: float, rising: bool) -> float:
     if y.size < 2:
         return 0.0
     d = np.diff(y)
-    good = d > 0 if rising else d < 0
-    slopes = []
-    i = 0
-    n = len(d)
-    while i < n:
-        if not good[i]:
-            i += 1
-            continue
-        j = i
-        while j < n and good[j]:
-            j += 1
-        slopes.append((y[j] - y[i]) / ((j - i) * dt))
-        i = j
-    return float(np.mean(slopes)) if slopes else 0.0
-
-
-def _runs(mask: np.ndarray):
-    """(start, end) index pairs of maximal True runs."""
-    out = []
-    i, n = 0, len(mask)
-    while i < n:
-        if not mask[i]:
-            i += 1
-            continue
-        j = i
-        while j < n and mask[j]:
-            j += 1
-        out.append((i, j))
-        i = j
-    return out
+    starts, ends = runs(d > 0 if rising else d < 0)
+    if starts.size == 0:
+        return 0.0
+    return float(np.mean((y[ends] - y[starts]) / ((ends - starts) * dt)))
 
 
 def _band_slope(db_frames: np.ndarray, freqs: np.ndarray, lo: float, hi: float) -> np.ndarray:
@@ -203,11 +177,10 @@ def gemaps_lite(clip: AudioClip, clip_id: str = "") -> FeatureVector:
     }
 
     # pitch statistics (voiced frames only; semitone slopes within voiced runs)
-    f0_slopes_rise, f0_slopes_fall = [], []
-    for i, j in _runs(voiced):
-        if j - i >= 2:
-            f0_slopes_rise.append(_monotone_run_slopes(f0_st[i:j], dt, rising=True))
-            f0_slopes_fall.append(_monotone_run_slopes(f0_st[i:j], dt, rising=False))
+    v_starts, v_ends = runs(voiced)
+    long_runs = [(i, j) for i, j in zip(v_starts, v_ends) if j - i >= 2]
+    f0_slopes_rise = [_monotone_run_slopes(f0_st[i:j], dt, rising=True) for i, j in long_runs]
+    f0_slopes_fall = [_monotone_run_slopes(f0_st[i:j], dt, rising=False) for i, j in long_runs]
     vals.update(
         {
             "F0semitoneFrom27.5Hz_sma3nz_amean": _amean(f0v),
@@ -223,13 +196,12 @@ def gemaps_lite(clip: AudioClip, clip_id: str = "") -> FeatureVector:
     )
 
     # voicing temporal structure
-    voiced_runs = _runs(voiced)
-    unvoiced_runs = _runs(unvoiced)
-    v_lens = np.array([(j - i) * dt for i, j in voiced_runs])
-    uv_lens = np.array([(j - i) * dt for i, j in unvoiced_runs])
+    uv_starts, uv_ends = runs(unvoiced)
+    v_lens = (v_ends - v_starts) * dt
+    uv_lens = (uv_ends - uv_starts) * dt
     vals.update(
         {
-            "VoicedSegmentsPerSec": len(voiced_runs) / duration,
+            "VoicedSegmentsPerSec": len(v_starts) / duration,
             "MeanVoicedSegmentLengthSec": _amean(v_lens),
             "StddevVoicedSegmentLengthSec": float(np.std(v_lens)) if v_lens.size else 0.0,
             "MeanUnvoicedSegmentLength": _amean(uv_lens),

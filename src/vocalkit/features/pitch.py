@@ -46,14 +46,14 @@ def hz_to_semitone(f0_hz) -> np.ndarray:
     return 12.0 * np.log2(np.asarray(f0_hz) / F0_REF_HZ)
 
 
-def f0_contour(clip: AudioClip, hop_s: float = DEFAULT_FRAME_HOP_S) -> PitchContour:
+def f0_contour(clip: AudioClip) -> PitchContour:
     """Normalized-autocorrelation pitch track in semitones above 27.5 Hz."""
     sr = clip.sample_rate
     lag_min = max(2, int(np.floor(sr / F0_MAX_HZ)))
     lag_max = int(np.ceil(sr / F0_MIN_HZ))
     win = lag_max  # correlation window: one full period at the lowest pitch
     frame_len = win + lag_max
-    hop = max(1, int(round(hop_s * sr)))
+    hop = max(1, int(round(DEFAULT_FRAME_HOP_S * sr)))
     x = clip.samples
     if len(x) < frame_len:
         x = np.pad(x, (0, frame_len - len(x)))
@@ -97,15 +97,11 @@ def f0_contour(clip: AudioClip, hop_s: float = DEFAULT_FRAME_HOP_S) -> PitchCont
     return PitchContour(semis, voiced, hop / sr)
 
 
-def loudness_contour(
-    clip: AudioClip,
-    frame_len_s: float = DEFAULT_FRAME_LEN_S,
-    hop_s: float = DEFAULT_FRAME_HOP_S,
-) -> LoudnessContour:
+def loudness_contour(clip: AudioClip) -> LoudnessContour:
     """Per-frame RMS level in dBFS, floored at -90 dB."""
     sr = clip.sample_rate
-    frame_len = int(round(frame_len_s * sr))
-    hop = max(1, int(round(hop_s * sr)))
+    frame_len = int(round(DEFAULT_FRAME_LEN_S * sr))
+    hop = max(1, int(round(DEFAULT_FRAME_HOP_S * sr)))
     x = clip.samples
     if len(x) < frame_len:
         x = np.pad(x, (0, frame_len - len(x)))

@@ -26,14 +26,13 @@ def _mel_to_hz(m):
     return 700.0 * (10.0 ** (np.asarray(m) / 2595.0) - 1.0)
 
 
-def mel_filter_matrix(n_bins: int, bin_hz: float, n_bands: int = N_MEL_BANDS,
-                      fmax_hz: float = MEL_FMAX_HZ) -> np.ndarray:
-    """Triangular mel filters (n_bands x n_bins) spanning 0..fmax_hz."""
-    fmax = min(fmax_hz, (n_bins - 1) * bin_hz)
-    edges_hz = _mel_to_hz(np.linspace(0.0, _hz_to_mel(fmax), n_bands + 2))
+def mel_filter_matrix(n_bins: int, bin_hz: float) -> np.ndarray:
+    """Triangular mel filters (24 x n_bins) spanning 0..MEL_FMAX_HZ."""
+    fmax = min(MEL_FMAX_HZ, (n_bins - 1) * bin_hz)
+    edges_hz = _mel_to_hz(np.linspace(0.0, _hz_to_mel(fmax), N_MEL_BANDS + 2))
     freqs = np.arange(n_bins) * bin_hz
-    fb = np.zeros((n_bands, n_bins))
-    for b in range(n_bands):
+    fb = np.zeros((N_MEL_BANDS, n_bins))
+    for b in range(N_MEL_BANDS):
         lo, mid, hi = edges_hz[b], edges_hz[b + 1], edges_hz[b + 2]
         rising = (freqs - lo) / max(mid - lo, 1e-12)
         falling = (hi - freqs) / max(hi - mid, 1e-12)
@@ -41,20 +40,19 @@ def mel_filter_matrix(n_bins: int, bin_hz: float, n_bands: int = N_MEL_BANDS,
     return fb
 
 
-def log_mel_frames(spec: SpectralFrameSeq, n_bands: int = N_MEL_BANDS) -> np.ndarray:
-    """Per-frame log mel band energies (n_frames x n_bands), floored at log(eps)."""
-    fb = mel_filter_matrix(spec.frames.shape[1], spec.bin_hz, n_bands)
+def log_mel_frames(spec: SpectralFrameSeq) -> np.ndarray:
+    """Per-frame log mel band energies (n_frames x 24), floored at log(eps)."""
+    fb = mel_filter_matrix(spec.frames.shape[1], spec.bin_hz)
     band = spec.frames @ fb.T
     return np.log(np.maximum(band, LOG_FLOOR))
 
 
-def mel_filterbank(spec: SpectralFrameSeq, clip_id: str = "",
-                   n_bands: int = N_MEL_BANDS) -> FeatureVector:
+def mel_filterbank(spec: SpectralFrameSeq, clip_id: str = "") -> FeatureVector:
     """24 log-mel band energies averaged across frames."""
     if spec.n_frames < 1:
         raise FeatureError("spectrogram has no frames")
-    values = log_mel_frames(spec, n_bands).mean(axis=0)
-    names = tuple(f"logmel_{b:02d}" for b in range(n_bands))
+    values = log_mel_frames(spec).mean(axis=0)
+    names = tuple(f"logmel_{b:02d}" for b in range(N_MEL_BANDS))
     return FeatureVector("filterbank24", names, values, clip_id)
 
 
@@ -143,7 +141,7 @@ def _lpc_to_cepstrum(a: np.ndarray, gain: float, n_cep: int) -> np.ndarray:
     return c
 
 
-def plp_models(spec: SpectralFrameSeq, order: int = PLP_ORDER):
+def plp_models(spec: SpectralFrameSeq):
     """Per-frame PLP all-pole models.
 
     Returns a list of (a, gain, reflection) tuples, one per non-degenerate
@@ -160,7 +158,7 @@ def plp_models(spec: SpectralFrameSeq, order: int = PLP_ORDER):
     )
     n_bands = padded.shape[1]
     # symmetric spectrum -> autocorrelation via cosine transform
-    lags = np.arange(order + 1)[:, None]
+    lags = np.arange(PLP_ORDER + 1)[:, None]
     k = np.arange(n_bands)[None, :]
     cos_mat = np.cos(np.pi * lags * k / (n_bands - 1))
     weights = np.ones(n_bands)
@@ -170,26 +168,18 @@ def plp_models(spec: SpectralFrameSeq, order: int = PLP_ORDER):
     for r in autoc:
         if r[0] <= LOG_FLOOR:
             continue
-        a, gain, refl = _levinson(r, order)
+        a, gain, refl = _levinson(r, PLP_ORDER)
         if gain <= 0 or not np.all(np.isfinite(a)):
             continue
         models.append((a, gain, refl))
     return models
 
 
-def lpc_power_spectrum(a: np.ndarray, gain: float, freqs_rel: np.ndarray) -> np.ndarray:
-    """All-pole power spectrum at normalized frequencies in [0, 1] (1 = Nyquist)."""
-    omega = np.pi * freqs_rel
-    z = np.exp(-1j * np.outer(omega, np.arange(len(a))))
-    denom = np.abs(z @ a) ** 2
-    return gain / np.maximum(denom, 1e-300)
-
-
-def plp(spec: SpectralFrameSeq, order: int = PLP_ORDER, clip_id: str = "") -> FeatureVector:
+def plp(spec: SpectralFrameSeq, clip_id: str = "") -> FeatureVector:
     """13 PLP cepstral coefficients averaged across frames."""
-    models = plp_models(spec, order)
+    models = plp_models(spec)
     if not models:
         raise FeatureError("all frames degenerate; cannot compute PLP")
-    ceps = np.stack([_lpc_to_cepstrum(a, g, order + 1) for a, g, _ in models])
-    names = tuple(f"plp_{i:02d}" for i in range(order + 1))
+    ceps = np.stack([_lpc_to_cepstrum(a, g, PLP_ORDER + 1) for a, g, _ in models])
+    names = tuple(f"plp_{i:02d}" for i in range(PLP_ORDER + 1))
     return FeatureVector("plp13", names, ceps.mean(axis=0), clip_id)

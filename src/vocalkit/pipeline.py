@@ -1,9 +1,10 @@
 """Manifest-driven batch pipeline with content-hash idempotence.
 
 Stages run in dependency order: segment -> extract -> pair -> train ->
-explain -> speed -> report.  Each stage records a content hash of its inputs
-and configuration in the run ledger; a stage re-runs only when either hash
-changed or its outputs are missing.
+explain -> speed -> report.  Each stage records a content hash of the files
+it reads and of the RunConfig settings it reads (STAGE_SETTINGS) in the run
+ledger; a stage re-runs only when either hash changed or its outputs are
+missing.
 """
 
 from __future__ import annotations
@@ -13,11 +14,11 @@ import hashlib
 import json
 import os
 import shutil
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .audio import CANONICAL_RATE, load_audio, resample
+from .audio import CANONICAL_RATE, load_audio, power_spectrogram, resample
 from .classify import FAMILIES, accuracy_grid, train, write_grid_csv
 from .explain import (
     correlate_pairs,
@@ -26,7 +27,6 @@ from .explain import (
     write_correlation_csv,
 )
 from .features import (
-    FEATURE_SET_DIMS,
     gemaps_lite,
     mel_filterbank,
     mfcc,
@@ -34,7 +34,6 @@ from .features import (
     read_feature_csv,
     write_feature_csv,
 )
-from .audio import power_spectrogram
 from .manifest import Manifest, corpus_stats, load_manifest
 from .pairing import ClipPair, PairClass, build_pairs, pair_dataset
 from .segmentation import DetectorSource, SegmentationConfig, extract_words
@@ -54,6 +53,18 @@ STAGE_DEPS = {
     "pair": ("extract",),
     "train": ("extract", "pair"),
     "explain": ("extract",),
+    "speed": (),
+    "report": (),
+}
+
+# the RunConfig settings each stage reads; changing any other setting
+# leaves the stage's ledger entry valid
+STAGE_SETTINGS = {
+    "segment": (),
+    "extract": ("feature_sets",),
+    "pair": ("seed", "cos_threshold", "per_class_quota"),
+    "train": ("seed", "feature_sets", "families", "folds"),
+    "explain": ("seed", "feature_sets", "prominence_cutoff"),
     "speed": (),
     "report": (),
 }
@@ -78,7 +89,6 @@ class RunConfig:
     prominence_cutoff: float = 0.04
     folds: int = 5
     per_class_quota: int = 500
-    jobs: int = 1
 
     def stage_seed(self, stage: str) -> int:
         digest = hashlib.sha256(f"{self.seed}:{stage}".encode()).digest()
@@ -97,16 +107,8 @@ def _hash_files(paths) -> str:
 
 
 def _config_hash(cfg: RunConfig, stage: str) -> str:
-    relevant = {
-        "seed": cfg.seed,
-        "feature_sets": list(cfg.feature_sets),
-        "families": list(cfg.families),
-        "cos_threshold": cfg.cos_threshold,
-        "prominence_cutoff": cfg.prominence_cutoff,
-        "folds": cfg.folds,
-        "per_class_quota": cfg.per_class_quota,
-        "stage": stage,
-    }
+    relevant = {name: getattr(cfg, name) for name in STAGE_SETTINGS[stage]}
+    relevant["stage"] = stage
     return hashlib.sha256(json.dumps(relevant, sort_keys=True).encode()).hexdigest()
 
 
@@ -132,7 +134,7 @@ def _stage_inputs(cfg: RunConfig, manifest: Manifest, stage: str):
     table = {
         "segment": [cfg.manifest_path, *audio],
         "extract": [cfg.manifest_path, *audio],
-        "pair": [cfg.manifest_path, *feature_csvs],
+        "pair": [cfg.manifest_path],
         "train": [os.path.join(out, "pairs.csv"), *feature_csvs],
         "explain": [cfg.manifest_path, *feature_csvs],
         "speed": [cfg.manifest_path, *audio],
@@ -297,10 +299,8 @@ def run_explain(cfg: RunConfig, manifest: Manifest) -> None:
         cutoff=cfg.prominence_cutoff,
     )
     write_attribution_csv(os.path.join(cfg.out_dir, "attribution.csv"), rows)
-    host_features = {
-        cid: fv for cid, fv in features.items()
-        if any(r.id == cid for r in manifest.by_kind("host_speech"))
-    }
+    host_ids = {r.id for r in manifest.by_kind("host_speech")}
+    host_features = {cid: fv for cid, fv in features.items() if cid in host_ids}
     dog_features = {r.id: features[r.id] for r in dogs}
     try:
         corr = correlate_pairs(
@@ -397,7 +397,7 @@ def run_stages(cfg: RunConfig, stages=None) -> dict:
             continue  # ledger hit
         _RUNNERS[stage](cfg, manifest)
         ledger[stage] = {
-            "input_hash": _hash_files(_stage_inputs(cfg, manifest, stage)),
+            "input_hash": input_hash,
             "config_hash": config_hash,
             "outputs": [os.path.relpath(p, cfg.out_dir) for p in outputs],
         }

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .audio import AudioClip, amplitude_envelope
+from .audio import AudioClip, amplitude_envelope, runs
 
 VOCAL_LABELS = ("barking",)
 NOISE_LABELS = ("speech", "music")
@@ -89,20 +89,10 @@ def _envelope_db(clip: AudioClip) -> tuple[np.ndarray, float]:
 
 def _active_regions(db: np.ndarray, rate: float, on_db: float, off_db: float):
     """Hysteresis detection: regions above off_db containing a sample above on_db."""
-    above_off = db > off_db
-    spans = []
-    i, n = 0, len(db)
-    while i < n:
-        if not above_off[i]:
-            i += 1
-            continue
-        j = i
-        while j < n and above_off[j]:
-            j += 1
-        if np.any(db[i:j] > on_db):
-            spans.append((i / rate, j / rate))
-        i = j
-    return spans
+    starts, ends = runs(db > off_db)
+    n_on = np.concatenate(([0], np.cumsum(db > on_db)))
+    hit = n_on[ends] > n_on[starts]
+    return list(zip((starts[hit] / rate).tolist(), (ends[hit] / rate).tolist()))
 
 
 def _read_annotation_file(path) -> list[EventSpan]:
@@ -171,12 +161,11 @@ def detect_events(
 def sentence_segments(
     events: list[EventSpan],
     config: SegmentationConfig | None = None,
-    vocal_labels: tuple[str, ...] = VOCAL_LABELS,
 ) -> list[EventSpan]:
     """Merge vocal spans separated by gaps below min_sentence_gap_s."""
     config = config or SegmentationConfig()
     vocal = sorted(
-        (e for e in events if e.label in vocal_labels), key=lambda e: (e.start_s, e.end_s)
+        (e for e in events if e.label in VOCAL_LABELS), key=lambda e: (e.start_s, e.end_s)
     )
     if not vocal:
         return []
@@ -198,7 +187,6 @@ def sentence_segments(
 def filter_noisy(
     sentences: list[EventSpan],
     events: list[EventSpan],
-    noise_labels: tuple[str, ...] = NOISE_LABELS,
     min_overlap_frac: float = 0.0,
 ) -> list[EventSpan]:
     """Drop sentences that temporally overlap speech or music events.
@@ -206,7 +194,7 @@ def filter_noisy(
     With the default min_overlap_frac of 0, any positive overlap disqualifies
     a sentence (strictest reading of "co-existing" noise).
     """
-    noise = [e for e in events if e.label in noise_labels]
+    noise = [e for e in events if e.label in NOISE_LABELS]
     kept = []
     for sent in sentences:
         limit = min_overlap_frac * sent.duration_s
@@ -229,39 +217,19 @@ def word_segments(
     config = config or SegmentationConfig()
     sub = clip.slice_s(sentence.start_s, sentence.end_s)
     db, rate = _envelope_db(sub)
-    loud = db > config.silence_floor_db
+    starts, ends = runs(db > config.silence_floor_db)
     min_gap = max(1, int(round(config.min_word_gap_s * rate)))
-
-    # close silent runs shorter than min_word_gap_s
-    n = len(loud)
-    closed = loud.copy()
-    i = 0
-    while i < n:
-        if loud[i]:
-            i += 1
-            continue
-        j = i
-        while j < n and not loud[j]:
-            j += 1
-        if 0 < i and j < n and (j - i) < min_gap:
-            closed[i:j] = True
-        i = j
-
-    words = []
-    i = 0
-    while i < n:
-        if not closed[i]:
-            i += 1
-            continue
-        j = i
-        while j < n and closed[j]:
-            j += 1
-        start = sentence.start_s + i / rate
-        end = sentence.start_s + j / rate
-        if end - start >= config.min_word_len_s:
-            words.append(EventSpan("word", start, min(end, sentence.end_s), sentence.confidence))
-        i = j
-    return words
+    # merge loud runs across silent gaps shorter than min_word_gap_s
+    split = np.flatnonzero(starts[1:] - ends[:-1] >= min_gap)
+    starts = np.concatenate((starts[:1], starts[split + 1]))
+    ends = np.concatenate((ends[split], ends[-1:]))
+    word_starts = sentence.start_s + starts / rate
+    word_ends = sentence.start_s + ends / rate
+    keep = word_ends - word_starts >= config.min_word_len_s
+    return [
+        EventSpan("word", start, min(end, sentence.end_s), sentence.confidence)
+        for start, end in zip(word_starts[keep].tolist(), word_ends[keep].tolist())
+    ]
 
 
 def extract_words(

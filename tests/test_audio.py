@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.io import wavfile
 
 from vocalkit.audio import (
@@ -9,6 +11,7 @@ from vocalkit.audio import (
     load_audio,
     power_spectrogram,
     resample,
+    runs,
 )
 
 from conftest import SR, noise_clip, silence, tone
@@ -168,3 +171,49 @@ def test_determinism():
     a = power_spectrogram(clip).frames
     b = power_spectrogram(noise_clip(seed=7)).frames
     assert np.array_equal(a, b)
+
+
+def naive_runs(mask):
+    """Reference run-length scan: (start, end) of each maximal True run."""
+    out, start = [], None
+    for i, m in enumerate(mask):
+        if m and start is None:
+            start = i
+        elif not m and start is not None:
+            out.append((start, i))
+            start = None
+    if start is not None:
+        out.append((start, len(mask)))
+    return out
+
+
+class TestRuns:
+    @given(st.lists(st.booleans(), max_size=200))
+    def test_matches_naive_scan(self, mask):
+        starts, ends = runs(np.array(mask, dtype=bool))
+        assert list(zip(starts.tolist(), ends.tolist())) == naive_runs(mask)
+
+    @given(st.lists(st.booleans(), max_size=200))
+    def test_runs_are_disjoint_and_cover_the_true_entries(self, mask):
+        mask = np.array(mask, dtype=bool)
+        starts, ends = runs(mask)
+        assert np.all(starts < ends)
+        assert np.all(ends[:-1] < starts[1:])  # disjoint, with a gap between runs
+        covered = np.zeros(len(mask), dtype=bool)
+        for i, j in zip(starts, ends):
+            covered[i:j] = True
+        assert np.array_equal(covered, mask)
+
+    @pytest.mark.parametrize(
+        "mask, want",
+        [
+            ([], []),
+            ([True] * 5, [(0, 5)]),
+            ([False] * 5, []),
+            ([True, False, True, True], [(0, 1), (2, 4)]),
+        ],
+    )
+    def test_edge_masks(self, mask, want):
+        starts, ends = runs(np.array(mask, dtype=bool))
+        assert starts.dtype.kind == ends.dtype.kind == "i"
+        assert list(zip(starts.tolist(), ends.tolist())) == want

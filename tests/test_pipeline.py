@@ -1,10 +1,12 @@
 import dataclasses
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from vocalkit import pipeline
 from vocalkit.manifest import Manifest, load_manifest
 from vocalkit.pipeline import (
     STAGE_DEPS,
@@ -194,6 +196,58 @@ class TestLedger:
         seeds = {cfg.stage_seed(s) for s in STAGES}
         assert len(seeds) == len(STAGES)
         assert cfg.stage_seed("pair") == cfg.stage_seed("pair")
+
+
+# each RunConfig setting, a changed value, and the stages that read it
+SETTING_READERS = {
+    "seed": (1, {"pair", "train", "explain"}),
+    "feature_sets": (("gemaps_lite",), {"extract", "train", "explain"}),
+    "families": (("k_nearest_neighbors",), {"train"}),
+    "cos_threshold": (0.9, {"pair"}),
+    "prominence_cutoff": (0.05, {"explain"}),
+    "folds": (2, {"train"}),
+    "per_class_quota": (5, {"pair"}),
+}
+
+
+class TestLedgerScope:
+    def test_every_setting_is_covered(self):
+        fields = {f.name for f in dataclasses.fields(RunConfig)}
+        assert set(SETTING_READERS) == fields - {"manifest_path", "out_dir"}
+
+    @pytest.mark.parametrize("setting", sorted(SETTING_READERS))
+    def test_setting_reruns_only_the_stages_that_read_it(self, full_run, monkeypatch, setting):
+        cfg, _ = full_run
+        value, readers = SETTING_READERS[setting]
+        ledger = Path(cfg.out_dir, "ledger.json")
+        saved = ledger.read_bytes()
+        ran = []
+        for stage in STAGES:
+            # record instead of running, so no artifact (and no input hash) changes
+            monkeypatch.setitem(
+                pipeline._RUNNERS, stage, lambda c, m, stage=stage: ran.append(stage)
+            )
+        try:
+            run_stages(cfg)
+            assert ran == []
+            run_stages(dataclasses.replace(cfg, **{setting: value}))
+        finally:
+            ledger.write_bytes(saved)
+        assert set(ran) == readers
+
+    def test_inputs_hashed_once_per_stage(self, corpus, tmp_path, monkeypatch):
+        hashed = []
+        real = pipeline._hash_files
+
+        def counting(paths):
+            hashed.append(paths)
+            return real(paths)
+
+        monkeypatch.setattr(pipeline, "_hash_files", counting)
+        stages = ["segment", "speed", "report"]
+        ledger = run_stages(make_cfg(corpus, tmp_path), stages)
+        assert len(hashed) == len(stages)
+        assert set(ledger) == set(stages)
 
 
 class TestSyllableCountOverride:
