@@ -18,6 +18,10 @@ DEFAULT_FRAME_HOP_S = 0.010
 
 # half-width of the windowed-sinc resampling kernel (64 taps total)
 _RESAMPLE_HALF_TAPS = 32
+# output samples per evaluation block: the block x 64 temporaries are 512 KiB
+# each; on segment+extract+speed at 48 kHz, blocks of 2048 and 4096 were 8%
+# and 25% slower end to end
+_RESAMPLE_BLOCK = 1024
 
 
 class AudioError(Exception):
@@ -132,17 +136,25 @@ def resample(clip: AudioClip, target_rate: int) -> AudioClip:
     ratio = clip.sample_rate / target_rate
     n_out = max(1, int(round(n * target_rate / clip.sample_rate)))
     t = np.arange(n_out) * ratio
-    base = np.floor(t).astype(np.int64)
+    base = np.floor(t)
+    # a tap depends on t only through its phase t - floor(t), which is exact
+    # for t >= 0, so phase - off rounds to the same float as t - (base + off):
+    # one tap row per distinct phase gives the per-sample taps bit for bit
+    phases, which = np.unique(t - base, return_inverse=True)
     offs = np.arange(-_RESAMPLE_HALF_TAPS + 1, _RESAMPLE_HALF_TAPS + 1)
-    idx = base[:, None] + offs[None, :]
-    frac = t[:, None] - idx
+    frac = phases[:, None] - offs[None, :]
     cutoff = min(1.0, 1.0 / ratio)
     taps = cutoff * np.sinc(cutoff * frac)
     taps *= 0.5 * (1.0 + np.cos(np.pi * frac / _RESAMPLE_HALF_TAPS))
     taps /= taps.sum(axis=1, keepdims=True)
-    valid = (idx >= 0) & (idx < n)
-    gathered = x[np.clip(idx, 0, n - 1)]
-    out = (gathered * taps * valid).sum(axis=1)
+    base = base.astype(np.int64)
+    out = np.empty(n_out)
+    for i0 in range(0, n_out, _RESAMPLE_BLOCK):
+        i1 = i0 + _RESAMPLE_BLOCK
+        idx = base[i0:i1, None] + offs[None, :]
+        valid = (idx >= 0) & (idx < n)
+        gathered = x[np.clip(idx, 0, n - 1)]
+        out[i0:i1] = (gathered * taps[which[i0:i1]] * valid).sum(axis=1)
     return AudioClip(out, target_rate, clip.id)
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -34,12 +34,14 @@ class Manifest:
     declared_locations: list
     defaults: dict
     path: str = ""
+    # resolved activity blob files, in manifest order; pairing reads them
+    activity_paths: list = field(default_factory=list)
 
     def by_kind(self, kind: str) -> list:
         return [c for c in self.clips if c.kind == kind]
 
 
-def _load_activity(raw, base_dir: str, errors: list, where: str):
+def _load_activity(raw, base_dir: str, errors: list, where: str, blobs: list):
     if isinstance(raw, list):
         return np.asarray(raw, dtype=float)
     if isinstance(raw, str):
@@ -47,6 +49,7 @@ def _load_activity(raw, base_dir: str, errors: list, where: str):
         if not os.path.isfile(blob_path):
             errors.append(f"{where}: activity blob not found: {raw}")
             return None
+        blobs.append(blob_path)
         data = np.fromfile(blob_path, dtype="<f4").astype(float)
         return data
     errors.append(f"{where}: activity must be an array or a blob path")
@@ -73,6 +76,7 @@ def load_manifest(path) -> Manifest:
     defaults = header.get("defaults", {})
 
     clips = []
+    blobs: list[str] = []
     seen_ids = set()
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
@@ -93,7 +97,9 @@ def load_manifest(path) -> Manifest:
         context = None
         raw_ctx = raw.get("context")
         if raw_ctx is not None:
-            activity = _load_activity(raw_ctx.get("activity"), base_dir, errors, where)
+            activity = _load_activity(
+                raw_ctx.get("activity"), base_dir, errors, where, blobs
+            )
             scene = raw_ctx.get("scene", "")
             location = raw_ctx.get("location", "")
             if scene not in SCENES:
@@ -134,6 +140,7 @@ def load_manifest(path) -> Manifest:
         declared_locations=list(declared_locations),
         defaults=dict(defaults),
         path=str(path),
+        activity_paths=blobs,
     )
 
 

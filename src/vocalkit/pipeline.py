@@ -96,13 +96,19 @@ class RunConfig:
 
 
 def _hash_files(paths) -> str:
+    """Digest of the files' contents in the given order, not of their paths,
+    so a moved or copied directory keeps its ledger; a missing file hashes as
+    a marker that no content digest can produce."""
     h = hashlib.sha256()
-    for p in sorted(str(p) for p in paths):
-        h.update(p.encode())
-        if os.path.isfile(p):
-            with open(p, "rb") as fh:
-                for chunk in iter(lambda: fh.read(1 << 20), b""):
-                    h.update(chunk)
+    for p in paths:
+        if not os.path.isfile(p):
+            h.update(b"M")
+            continue
+        content = hashlib.sha256()
+        with open(p, "rb") as fh:
+            while chunk := fh.read(1 << 20):
+                content.update(chunk)
+        h.update(b"F" + content.digest())
     return h.hexdigest()
 
 
@@ -134,7 +140,7 @@ def _stage_inputs(cfg: RunConfig, manifest: Manifest, stage: str):
     table = {
         "segment": [cfg.manifest_path, *audio],
         "extract": [cfg.manifest_path, *audio],
-        "pair": [cfg.manifest_path],
+        "pair": [cfg.manifest_path, *manifest.activity_paths],
         "train": [os.path.join(out, "pairs.csv"), *feature_csvs],
         "explain": [cfg.manifest_path, *feature_csvs],
         "speed": [cfg.manifest_path, *audio],

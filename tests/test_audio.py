@@ -5,6 +5,8 @@ from hypothesis import strategies as st
 from scipy.io import wavfile
 
 from vocalkit.audio import (
+    _RESAMPLE_BLOCK,
+    _RESAMPLE_HALF_TAPS,
     AudioClip,
     AudioError,
     amplitude_envelope,
@@ -23,6 +25,30 @@ def brute_dft_power(x):
     k = np.arange(n)
     mat = np.exp(-2j * np.pi * np.outer(k, k) / n)
     return np.abs(mat @ x) ** 2
+
+
+def _resample_reference(clip, target_rate):
+    """Per-sample taps over all n_out x 64 at once, to cross-check resample."""
+    x = clip.samples
+    n = len(x)
+    ratio = clip.sample_rate / target_rate
+    n_out = max(1, int(round(n * target_rate / clip.sample_rate)))
+    t = np.arange(n_out) * ratio
+    base = np.floor(t).astype(np.int64)
+    offs = np.arange(-_RESAMPLE_HALF_TAPS + 1, _RESAMPLE_HALF_TAPS + 1)
+    idx = base[:, None] + offs[None, :]
+    frac = t[:, None] - idx
+    cutoff = min(1.0, 1.0 / ratio)
+    taps = cutoff * np.sinc(cutoff * frac)
+    taps *= 0.5 * (1.0 + np.cos(np.pi * frac / _RESAMPLE_HALF_TAPS))
+    taps /= taps.sum(axis=1, keepdims=True)
+    valid = (idx >= 0) & (idx < n)
+    gathered = x[np.clip(idx, 0, n - 1)]
+    return (gathered * taps * valid).sum(axis=1)
+
+
+RATE_PAIRS = [(sr, SR) for sr in (8000, 11025, 22050, 32000, 44100, 48000, 96000)]
+RATE_PAIRS.append((SR, 44100))
 
 
 class TestLoadAudio:
@@ -95,6 +121,25 @@ class TestResample:
     def test_bad_rate(self):
         with pytest.raises(AudioError):
             resample(tone(440), 0)
+
+    @pytest.mark.parametrize("length", [1, 63, 64, 65, "2s"])
+    @pytest.mark.parametrize("rates", RATE_PAIRS, ids=lambda r: f"{r[0]}to{r[1]}")
+    def test_matches_per_sample_taps(self, rates, length):
+        sr, target = rates
+        n = 2 * sr if length == "2s" else length
+        clip = AudioClip(np.random.default_rng(n).uniform(-1, 1, n), sr)
+        out = resample(clip, target)
+        assert out.samples.tobytes() == _resample_reference(clip, target).tobytes()
+
+    @pytest.mark.parametrize("edge", [-1, 0, 1])
+    @pytest.mark.parametrize("sr", [44100, 48000])
+    def test_matches_per_sample_taps_at_block_boundary(self, sr, edge):
+        n_out = 2 * _RESAMPLE_BLOCK + edge
+        n = int(round(n_out * sr / SR))
+        clip = AudioClip(np.random.default_rng(n).uniform(-1, 1, n), sr)
+        out = resample(clip, SR)
+        assert len(out.samples) == n_out
+        assert out.samples.tobytes() == _resample_reference(clip, SR).tobytes()
 
 
 class TestPowerSpectrogram:

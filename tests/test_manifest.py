@@ -81,6 +81,13 @@ class TestLoadManifest:
         got = m.clips[0].context.activity
         assert np.allclose(got, vec.astype(float))
 
+    def test_activity_blob_paths_recorded(self, tmp_path):
+        np.ones(ACTIVITY_DIM, dtype="<f4").tofile(tmp_path / "act.bin")
+        rec = dog_record(1, activity=None)
+        rec["context"]["activity"] = "act.bin"
+        m = load_manifest(write_manifest(tmp_path, [dog_record(0), rec]))
+        assert m.activity_paths == [str(tmp_path / "act.bin")]
+
     def test_all_violations_collected(self, tmp_path):
         records = [
             dog_record(0, scene="Mars"),               # unknown scene

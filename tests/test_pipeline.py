@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -210,6 +211,16 @@ SETTING_READERS = {
 }
 
 
+def record_runs(monkeypatch):
+    """Record stage names instead of running, so no artifact or input hash changes."""
+    ran = []
+    for stage in STAGES:
+        monkeypatch.setitem(
+            pipeline._RUNNERS, stage, lambda c, m, stage=stage: ran.append(stage)
+        )
+    return ran
+
+
 class TestLedgerScope:
     def test_every_setting_is_covered(self):
         fields = {f.name for f in dataclasses.fields(RunConfig)}
@@ -221,12 +232,7 @@ class TestLedgerScope:
         value, readers = SETTING_READERS[setting]
         ledger = Path(cfg.out_dir, "ledger.json")
         saved = ledger.read_bytes()
-        ran = []
-        for stage in STAGES:
-            # record instead of running, so no artifact (and no input hash) changes
-            monkeypatch.setitem(
-                pipeline._RUNNERS, stage, lambda c, m, stage=stage: ran.append(stage)
-            )
+        ran = record_runs(monkeypatch)
         try:
             run_stages(cfg)
             assert ran == []
@@ -248,6 +254,73 @@ class TestLedgerScope:
         ledger = run_stages(make_cfg(corpus, tmp_path), stages)
         assert len(hashed) == len(stages)
         assert set(ledger) == set(stages)
+
+
+class TestLedgerContent:
+    @pytest.fixture
+    def copied(self, full_run, corpus, tmp_path):
+        """A copy of the corpus and of the finished out_dir, and its config."""
+        cfg, _ = full_run
+        corpus_dir = tmp_path / "corpus"
+        shutil.copytree(os.path.dirname(corpus[0]), corpus_dir)
+        shutil.copytree(cfg.out_dir, tmp_path / "out")
+        manifest = corpus_dir / os.path.basename(corpus[0])
+        return dataclasses.replace(
+            cfg, manifest_path=str(manifest), out_dir=str(tmp_path / "out")
+        )
+
+    def test_hash_reads_contents_in_order(self, tmp_path):
+        a, b, empty = tmp_path / "a", tmp_path / "b", tmp_path / "empty"
+        a.write_bytes(b"x")
+        b.write_bytes(b"y")
+        empty.write_bytes(b"")
+        copy = tmp_path / "sub" / "a"
+        copy.parent.mkdir()
+        copy.write_bytes(b"x")
+        digest = pipeline._hash_files
+        assert digest([a, b]) == digest([copy, b])
+        assert digest([a, b]) != digest([b, a])
+        assert digest([empty]) != digest([tmp_path / "missing"])
+
+    def test_copied_corpus_and_out_dir_keep_the_ledger(self, copied, monkeypatch):
+        ran = record_runs(monkeypatch)
+        run_stages(copied)
+        assert ran == []
+
+    def test_audio_byte_change_reruns_audio_stages(self, copied, monkeypatch):
+        ran = record_runs(monkeypatch)
+        wav = load_manifest(copied.manifest_path).clips[0].audio_path
+        data = bytearray(Path(wav).read_bytes())
+        data[-1] ^= 0xFF
+        Path(wav).write_bytes(bytes(data))
+        run_stages(copied)
+        assert ran == ["segment", "extract", "speed"]
+
+    def test_activity_blobs_are_pair_inputs(self, copied, monkeypatch):
+        manifest_path = Path(copied.manifest_path)
+        (manifest_path.parent / "act").mkdir()
+        header, *lines = manifest_path.read_text().splitlines()
+        records = [json.loads(line) for line in lines]
+        for rec in records:
+            if rec.get("context"):
+                blob = f"act/{rec['id']}.bin"
+                vec = np.asarray(rec["context"]["activity"], dtype="<f4")
+                vec.tofile(manifest_path.parent / blob)
+                rec["context"]["activity"] = blob
+        manifest_path.write_text(
+            "\n".join([header, *(json.dumps(r) for r in records)]) + "\n"
+        )
+        ran = record_runs(monkeypatch)
+        run_stages(copied)
+        ran.clear()
+        run_stages(copied)
+        assert ran == []  # unchanged blobs: ledger hit
+        dog = next(r for r in records if r.get("context"))
+        blob = manifest_path.parent / f"act/{dog['id']}.bin"
+        vec = np.fromfile(blob, dtype="<f4")
+        vec[::-1].tofile(blob)
+        run_stages(copied)
+        assert ran == ["pair"]
 
 
 class TestSyllableCountOverride:
