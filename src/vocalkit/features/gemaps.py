@@ -235,17 +235,14 @@ def gemaps_lite(clip: AudioClip, clip_id: str = "") -> FeatureVector:
         }
     )
 
-    # H1-A3: first pitch harmonic vs strongest peak in the A3 proxy band
-    h1a3 = []
-    for i in np.where(voiced)[0]:
-        f0_hz = F0_REF_HZ * 2.0 ** (f0_st[i] / 12.0)
-        bin_idx = int(round(f0_hz / spec.bin_hz))
-        lo = max(0, bin_idx - 1)
-        hi = min(db_frames.shape[1], bin_idx + 2)
-        h1 = db_frames[i, lo:hi].max()
-        a3 = _band_peak_db(db_frames[i:i + 1], freqs, *A3_BAND)[0]
-        h1a3.append(h1 - a3)
-    h1a3 = np.asarray(h1a3)
+    # H1-A3: first pitch harmonic vs strongest peak in the A3 proxy band.
+    # The power is taken per value with C pow: NumPy's array power can differ
+    # in the last bit, which could move a harmonic bin that rounds near .5.
+    f0_hz = F0_REF_HZ * np.array([2.0 ** e for e in (f0v / 12.0).tolist()])
+    bins = np.rint(f0_hz / spec.bin_hz).astype(int)
+    near = np.clip(bins[:, None] + np.arange(-1, 2), 0, db_frames.shape[1] - 1)
+    h1 = np.take_along_axis(db_frames[voiced], near, axis=1).max(axis=1)
+    h1a3 = h1 - _band_peak_db(db_frames, freqs, *A3_BAND)[voiced]
     vals.update(
         {
             "logRelF0-H1-A3_sma3nz_amean": _amean(h1a3),

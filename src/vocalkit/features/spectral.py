@@ -110,44 +110,51 @@ def _bark_filter_matrix(n_bins: int, bin_hz: float):
     return fb, center_hz
 
 
-def _levinson(r: np.ndarray, order: int):
-    """Levinson-Durbin recursion: returns (lpc a[0..order], gain, reflection)."""
-    a = np.zeros(order + 1)
-    a[0] = 1.0
-    err = r[0]
-    refl = np.zeros(order)
+def _levinson(R: np.ndarray, order: int):
+    """Levinson-Durbin recursion over the rows of R, one autocorrelation per row.
+
+    Returns (a, gain, refl): lpc coefficients a[:, 0..order], prediction error
+    and reflection coefficients, one row each.  A row stops updating after the
+    step at which its error reaches <= 0.
+    """
+    n = R.shape[0]
+    a = np.zeros((n, order + 1))
+    a[:, 0] = 1.0
+    err = R[:, 0].copy()
+    refl = np.zeros((n, order))
+    live = np.arange(n)
     for i in range(1, order + 1):
-        acc = r[i] + np.dot(a[1:i], r[i - 1:0:-1])
-        k = -acc / err
-        refl[i - 1] = k
-        a[1:i + 1] += k * a[i - 1::-1][:i]
-        err *= 1.0 - k * k
-        if err <= 0:
-            break
+        ai = a[live]
+        # a contiguous reversed copy makes matmul call one ddot per row, the
+        # same call and summation order as np.dot on one row
+        rev = np.ascontiguousarray(R[live, i - 1:0:-1])
+        acc = R[live, i] + np.matmul(ai[:, None, 1:i], rev[:, :, None])[:, 0, 0]
+        k = -acc / err[live]
+        refl[live, i - 1] = k
+        ai[:, 1:i + 1] += k[:, None] * ai[:, i - 1::-1][:, :i]
+        a[live] = ai
+        err[live] *= 1.0 - k * k
+        live = live[~(err[live] <= 0)]
     return a, err, refl
 
 
-def _lpc_to_cepstrum(a: np.ndarray, gain: float, n_cep: int) -> np.ndarray:
-    """Cepstral recursion for an all-pole model; c0 = log(gain)."""
-    order = len(a) - 1
-    c = np.zeros(n_cep)
-    c[0] = np.log(max(gain, LOG_FLOOR))
+def _lpc_to_cepstrum(A: np.ndarray, gain: np.ndarray, n_cep: int) -> np.ndarray:
+    """Cepstral recursion for all-pole models, one per row; c0 = log(gain)."""
+    order = A.shape[1] - 1
+    c = np.zeros((A.shape[0], n_cep))
+    c[:, 0] = np.log(np.maximum(gain, LOG_FLOOR))
     for n in range(1, n_cep):
-        acc = -a[n] if n <= order else 0.0
-        for k in range(1, n):
-            if n - k <= order:
-                acc -= (k / n) * c[k] * a[n - k]
-        c[n] = acc
+        acc = -A[:, n] if n <= order else np.zeros(A.shape[0])
+        for k in range(max(1, n - order), n):
+            acc = acc - (k / n) * c[:, k] * A[:, n - k]
+        c[:, n] = acc
     return c
 
 
-def plp_models(spec: SpectralFrameSeq):
-    """Per-frame PLP all-pole models.
-
-    Returns a list of (a, gain, reflection) tuples, one per non-degenerate
-    frame, after critical-band integration, equal-loudness pre-emphasis and
-    cube-root compression.
-    """
+def _plp_autocorrelation(spec: SpectralFrameSeq) -> np.ndarray:
+    """Per-frame autocorrelation (n_frames x PLP_ORDER + 1) of the auditory
+    spectrum: critical-band integration, equal-loudness pre-emphasis and
+    cube-root compression, then a cosine transform."""
     fb, center_hz = _bark_filter_matrix(spec.frames.shape[1], spec.bin_hz)
     eq = _equal_loudness(np.maximum(center_hz, 1.0))
     band = spec.frames @ fb.T
@@ -163,23 +170,29 @@ def plp_models(spec: SpectralFrameSeq):
     cos_mat = np.cos(np.pi * lags * k / (n_bands - 1))
     weights = np.ones(n_bands)
     weights[0] = weights[-1] = 0.5
-    autoc = (padded * weights) @ cos_mat.T / (n_bands - 1)
-    models = []
-    for r in autoc:
-        if r[0] <= LOG_FLOOR:
-            continue
-        a, gain, refl = _levinson(r, PLP_ORDER)
-        if gain <= 0 or not np.all(np.isfinite(a)):
-            continue
-        models.append((a, gain, refl))
-    return models
+    return (padded * weights) @ cos_mat.T / (n_bands - 1)
+
+
+def plp_models(spec: SpectralFrameSeq):
+    """Per-frame PLP all-pole models of the non-degenerate frames.
+
+    Returns arrays (a, gain, reflection) with one row (or value) per kept
+    frame.
+    """
+    autoc = _plp_autocorrelation(spec)
+    # negated comparisons keep NaN rows in the recursion, as a per-frame test
+    # "skip if r0 <= floor" does
+    autoc = autoc[~(autoc[:, 0] <= LOG_FLOOR)]
+    a, gain, refl = _levinson(autoc, PLP_ORDER)
+    keep = ~(gain <= 0) & np.isfinite(a).all(axis=1)
+    return a[keep], gain[keep], refl[keep]
 
 
 def plp(spec: SpectralFrameSeq, clip_id: str = "") -> FeatureVector:
     """13 PLP cepstral coefficients averaged across frames."""
-    models = plp_models(spec)
-    if not models:
+    a, gain, _ = plp_models(spec)
+    if gain.size == 0:
         raise FeatureError("all frames degenerate; cannot compute PLP")
-    ceps = np.stack([_lpc_to_cepstrum(a, g, PLP_ORDER + 1) for a, g, _ in models])
+    ceps = _lpc_to_cepstrum(a, gain, PLP_ORDER + 1)
     names = tuple(f"plp_{i:02d}" for i in range(PLP_ORDER + 1))
     return FeatureVector("plp13", names, ceps.mean(axis=0), clip_id)

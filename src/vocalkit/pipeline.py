@@ -9,6 +9,7 @@ missing.
 
 from __future__ import annotations
 
+import contextvars
 import csv
 import hashlib
 import json
@@ -95,20 +96,32 @@ class RunConfig:
         return int.from_bytes(digest[:8], "little") % (2 ** 31)
 
 
+# file digests taken by the current run_stages call: stages that read the
+# same corpus files read each file once per call
+_DIGESTS: contextvars.ContextVar[dict] = contextvars.ContextVar("file_digests")
+
+
+def _file_digest(path) -> bytes:
+    if not os.path.isfile(path):
+        return b"M"
+    content = hashlib.sha256()
+    with open(path, "rb") as fh:
+        while chunk := fh.read(1 << 20):
+            content.update(chunk)
+    return b"F" + content.digest()
+
+
 def _hash_files(paths) -> str:
     """Digest of the files' contents in the given order, not of their paths,
     so a moved or copied directory keeps its ledger; a missing file hashes as
     a marker that no content digest can produce."""
+    digests = _DIGESTS.get({})
     h = hashlib.sha256()
     for p in paths:
-        if not os.path.isfile(p):
-            h.update(b"M")
-            continue
-        content = hashlib.sha256()
-        with open(p, "rb") as fh:
-            while chunk := fh.read(1 << 20):
-                content.update(chunk)
-        h.update(b"F" + content.digest())
+        key = os.fspath(p)
+        if key not in digests:
+            digests[key] = _file_digest(p)
+        h.update(digests[key])
     return h.hexdigest()
 
 
@@ -206,26 +219,35 @@ def run_segment(cfg: RunConfig, manifest: Manifest) -> None:
             )
 
 
+_SPECTRAL_SETS = {"filterbank24": mel_filterbank, "mfcc13": mfcc, "plp13": plp}
+
+
 def extract_features_for_clip(clip, clip_id: str, set_id: str):
-    if set_id == "gemaps_lite":
-        return gemaps_lite(clip, clip_id)
-    spec = power_spectrogram(clip)
-    if set_id == "filterbank24":
-        return mel_filterbank(spec, clip_id)
-    if set_id == "mfcc13":
-        return mfcc(spec, clip_id)
-    if set_id == "plp13":
-        return plp(spec, clip_id=clip_id)
-    raise ValueError(f"unknown feature set {set_id!r}")
+    return next(_clip_vectors(clip, clip_id, (set_id,)))
+
+
+def _clip_vectors(clip, clip_id: str, set_ids):
+    """Yield one feature vector of the clip per set, in order; the spectral
+    sets share one power spectrogram."""
+    spec = None
+    for set_id in set_ids:
+        if set_id == "gemaps_lite":
+            yield gemaps_lite(clip, clip_id)
+        elif set_id in _SPECTRAL_SETS:
+            if spec is None:
+                spec = power_spectrogram(clip)
+            yield _SPECTRAL_SETS[set_id](spec, clip_id)
+        else:
+            raise ValueError(f"unknown feature set {set_id!r}")
 
 
 def run_extract(cfg: RunConfig, manifest: Manifest) -> None:
     vectors = {s: [] for s in cfg.feature_sets}
     for rec in sorted(manifest.clips, key=lambda r: r.id):
-        clip = _clip_audio(rec)
+        produced = _clip_vectors(_clip_audio(rec), rec.id, cfg.feature_sets)
         for set_id in cfg.feature_sets:
             try:
-                vectors[set_id].append(extract_features_for_clip(clip, rec.id, set_id))
+                vectors[set_id].append(next(produced))
             except Exception as exc:
                 raise StageError("extract", f"clip {rec.id} ({set_id}): {exc}")
     for set_id, vecs in vectors.items():
@@ -375,6 +397,13 @@ def run_stages(cfg: RunConfig, stages=None) -> dict:
     Returns the updated ledger.  Raises StageError when a stage's upstream
     artifacts are missing or a stage fails.
     """
+    # the digest memo lives in a copy of the context, so it ends with this call
+    return contextvars.copy_context().run(_run_stages, cfg, stages)
+
+
+def _run_stages(cfg: RunConfig, stages) -> dict:
+    digests = {}
+    _DIGESTS.set(digests)
     manifest = load_manifest(cfg.manifest_path)
     os.makedirs(cfg.out_dir, exist_ok=True)
     ledger = _load_ledger(cfg.out_dir)
@@ -402,6 +431,8 @@ def run_stages(cfg: RunConfig, stages=None) -> dict:
         ):
             continue  # ledger hit
         _RUNNERS[stage](cfg, manifest)
+        for p in outputs:
+            digests.pop(p, None)
         ledger[stage] = {
             "input_hash": input_hash,
             "config_hash": config_hash,

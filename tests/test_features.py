@@ -1,9 +1,18 @@
+import contextlib
+import warnings
+
 import numpy as np
 import pytest
 import scipy.fft
 import scipy.linalg
 
-from vocalkit.audio import AudioClip, SpectralFrameSeq, power_spectrogram
+from vocalkit.audio import (
+    DEFAULT_FRAME_HOP_S,
+    AudioClip,
+    AudioError,
+    SpectralFrameSeq,
+    power_spectrogram,
+)
 from vocalkit.features import (
     FEATURE_SET_DIMS,
     FeatureError,
@@ -13,28 +22,190 @@ from vocalkit.features import (
     mel_filterbank,
     mfcc,
     plp,
+    plp_models,
 )
 from vocalkit.features.gemaps import (
+    A3_BAND,
+    DB_FLOOR,
     GEMAPS_LITE_NAMES,
     LEVEL_DEPENDENT_DIMS,
+    _amean,
+    _band_peak_db,
     _band_slope,
     _monotone_run_slopes,
+    _stddev_norm,
 )
 from vocalkit.features.pitch import (
+    CLARITY_THRESHOLD,
+    F0_MAX_HZ,
+    F0_MIN_HZ,
+    F0_REF_HZ,
+    OCTAVE_COST,
+    PitchContour,
     f0_contour,
     hz_to_semitone,
     loudness_contour,
 )
 from vocalkit.features.spectral import (
+    LOG_FLOOR,
+    PLP_ORDER,
     _dct2_ortho,
     _levinson,
     _lpc_to_cepstrum,
+    _plp_autocorrelation,
     log_mel_frames,
     mel_filter_matrix,
 )
 from vocalkit.features.store import read_feature_csv, write_feature_csv
 
 from conftest import SR, harmonic_tone, noise_clip, silence, tone
+
+
+def _levinson_reference(r, order):
+    """Per-frame Levinson-Durbin recursion that _levinson batches over rows."""
+    a = np.zeros(order + 1)
+    a[0] = 1.0
+    err = r[0]
+    refl = np.zeros(order)
+    for i in range(1, order + 1):
+        acc = r[i] + np.dot(a[1:i], r[i - 1:0:-1])
+        k = -acc / err
+        refl[i - 1] = k
+        a[1:i + 1] += k * a[i - 1::-1][:i]
+        err *= 1.0 - k * k
+        if err <= 0:
+            break
+    return a, err, refl
+
+
+def _lpc_to_cepstrum_reference(a, gain, n_cep):
+    """Per-frame cepstral recursion that _lpc_to_cepstrum batches over rows."""
+    order = len(a) - 1
+    c = np.zeros(n_cep)
+    c[0] = np.log(max(gain, LOG_FLOOR))
+    for n in range(1, n_cep):
+        acc = -a[n] if n <= order else 0.0
+        for k in range(1, n):
+            if n - k <= order:
+                acc -= (k / n) * c[k] * a[n - k]
+        c[n] = acc
+    return c
+
+
+def _plp_reference(spec):
+    """plp with one Levinson and one cepstral recursion per frame."""
+    ceps = []
+    for r in _plp_autocorrelation(spec):
+        if r[0] <= LOG_FLOOR:
+            continue
+        a, gain, _ = _levinson_reference(r, PLP_ORDER)
+        if gain <= 0 or not np.all(np.isfinite(a)):
+            continue
+        ceps.append(_lpc_to_cepstrum_reference(a, gain, PLP_ORDER + 1))
+    return np.stack(ceps).mean(axis=0)
+
+
+def _f0_contour_reference(clip):
+    """f0_contour with one np.correlate per frame."""
+    sr = clip.sample_rate
+    lag_min = max(2, int(np.floor(sr / F0_MAX_HZ)))
+    lag_max = int(np.ceil(sr / F0_MIN_HZ))
+    win = lag_max
+    frame_len = win + lag_max
+    hop = max(1, int(round(DEFAULT_FRAME_HOP_S * sr)))
+    x = clip.samples
+    if len(x) < frame_len:
+        x = np.pad(x, (0, frame_len - len(x)))
+    n_frames = (len(x) - frame_len) // hop + 1
+
+    semis = np.full(n_frames, np.nan)
+    voiced = np.zeros(n_frames, dtype=bool)
+    lags = np.arange(lag_max + 1)
+    octave_penalty = OCTAVE_COST * np.log2(np.maximum(lags, 1) / lag_min)
+
+    for i in range(n_frames):
+        frame = x[i * hop: i * hop + frame_len]
+        ref = frame[:win]
+        e0 = float(np.dot(ref, ref))
+        if e0 <= 1e-12:
+            continue
+        num = np.correlate(frame, ref, mode="valid")
+        csum = np.concatenate([[0.0], np.cumsum(frame * frame)])
+        e_lag = csum[lags + win] - csum[lags]
+        nccf = num / np.sqrt(e0 * np.maximum(e_lag, 1e-30))
+        seg = nccf[lag_min:lag_max + 1]
+        interior = (seg[1:-1] >= seg[:-2]) & (seg[1:-1] >= seg[2:])
+        cand = np.where(interior)[0] + lag_min + 1
+        cand = cand[nccf[cand] >= CLARITY_THRESHOLD]
+        if cand.size == 0:
+            continue
+        best = cand[np.argmax(nccf[cand] - octave_penalty[cand])]
+        if 1 <= best < lag_max:
+            y0, y1, y2 = nccf[best - 1], nccf[best], nccf[best + 1]
+            denom = y0 - 2.0 * y1 + y2
+            delta = 0.0 if abs(denom) < 1e-30 else 0.5 * (y0 - y2) / denom
+            delta = float(np.clip(delta, -0.5, 0.5))
+        else:
+            delta = 0.0
+        f0 = sr / (best + delta)
+        if F0_MIN_HZ * 0.9 <= f0 <= F0_MAX_HZ * 1.1:
+            semis[i] = hz_to_semitone(f0)
+            voiced[i] = True
+    return PitchContour(semis, voiced, hop / sr)
+
+
+def _pitch_frames(n_frames, sr=SR):
+    """Samples of a clip that f0_contour cuts into exactly n_frames frames."""
+    lag_max = int(np.ceil(sr / F0_MIN_HZ))
+    return 2 * lag_max + (n_frames - 1) * int(round(DEFAULT_FRAME_HOP_S * sr))
+
+
+def pitch_cases():
+    """Clips covering silence, noise, the pitch range edges, a clip shorter
+    than one pitch frame and frame counts on either side of a block."""
+    rng = np.random.default_rng(5)
+    glide_t = np.arange(SR) / SR
+    glide = 0.4 * np.sin(2 * np.pi * np.cumsum(80.0 + 1400.0 * glide_t) / SR)
+    half_silent = noise_clip(seed=9).samples.copy()
+    half_silent[: SR // 2] = 0.0
+    cases = {
+        "silence": silence(),
+        "noise": noise_clip(seed=4),
+        "tone60": tone(60),
+        "tone1600": tone(1600),
+        "harmonic300": harmonic_tone(300),
+        "glide": AudioClip(glide, SR),
+        "half_silent": AudioClip(half_silent, SR),
+        "shorter_than_frame": AudioClip(0.3 * rng.standard_normal(300), SR),
+    }
+    for n in (15, 16, 17, 33):
+        t = np.arange(_pitch_frames(n)) / SR
+        cases[f"frames{n}"] = AudioClip(
+            0.3 * np.sin(2 * np.pi * 220.0 * t) + 0.05 * rng.standard_normal(t.size), SR
+        )
+    return cases
+
+
+PITCH_CASES = pitch_cases()
+
+
+def _h1a3_reference(clip):
+    """The two H1-A3 statistics of gemaps_lite, one voiced frame at a time."""
+    spec = power_spectrogram(clip)
+    pitch = f0_contour(clip)
+    n = min(spec.n_frames, len(loudness_contour(clip).loudness), len(pitch.f0_semitone))
+    db_frames = 10.0 * np.log10(np.maximum(spec.frames[:n], 10.0 ** (DB_FLOOR / 10.0)))
+    h1a3 = []
+    for i in np.where(pitch.voicing[:n])[0]:
+        f0_hz = F0_REF_HZ * 2.0 ** (pitch.f0_semitone[i] / 12.0)
+        bin_idx = int(round(f0_hz / spec.bin_hz))
+        lo = max(0, bin_idx - 1)
+        hi = min(db_frames.shape[1], bin_idx + 2)
+        h1 = db_frames[i, lo:hi].max()
+        a3 = _band_peak_db(db_frames[i:i + 1], spec.freqs, *A3_BAND)[0]
+        h1a3.append(h1 - a3)
+    h1a3 = np.asarray(h1a3)
+    return np.array([_amean(h1a3), _stddev_norm(h1a3)])
 
 
 def flat_spec(n_frames=4, n_bins=201, bin_hz=62.5, level=1.0):
@@ -174,7 +345,7 @@ class TestPlp:
         # oracle: solve the Yule-Walker normal equations directly
         x = rng.standard_normal(512)
         r = np.array([np.dot(x[: 512 - k], x[k:]) for k in range(13)])
-        a, gain, refl = _levinson(r, 12)
+        a, gain, refl = (v[0] for v in _levinson(r[None], 12))
         want = scipy.linalg.solve_toeplitz((r[:12], r[:12]), -r[1:13])
         assert np.allclose(a[1:], want, atol=1e-8)
         # prediction error matches r0 + a.r
@@ -185,13 +356,52 @@ class TestPlp:
         # oracle: cepstrum of 1/A(z) via complex log of the FFT of a
         x = rng.standard_normal(256)
         r = np.array([np.dot(x[: 256 - k], x[k:]) for k in range(9)])
-        a, gain, _ = _levinson(r, 8)
+        a, gain, _ = (v[0] for v in _levinson(r[None], 8))
         n_fft = 4096
         spec = np.fft.fft(a, n_fft)
         c_ref = np.fft.ifft(-np.log(spec)).real
-        c = _lpc_to_cepstrum(a, gain, 13)
+        c = _lpc_to_cepstrum(a[None], gain[None], 13)[0]
         assert c[0] == pytest.approx(np.log(gain), rel=1e-10)
         assert np.allclose(c[1:], c_ref[1:13], atol=1e-8)
+
+    def test_levinson_matches_per_frame_recursion(self):
+        # real frames, then rows whose error reaches exactly 0 at step 1
+        # (constant) and at step 2 (1, 0, -1, 0, ...)
+        R = np.concatenate(
+            [
+                _plp_autocorrelation(power_spectrogram(harmonic_tone(300))),
+                _plp_autocorrelation(power_spectrogram(noise_clip(seed=2))),
+                np.ones((1, PLP_ORDER + 1)),
+                np.resize([1.0, 0.0, -1.0, 0.0], (1, PLP_ORDER + 1)),
+            ]
+        )
+        a, gain, refl = _levinson(R, PLP_ORDER)
+        want = [_levinson_reference(r, PLP_ORDER) for r in R]
+        assert a.tobytes() == np.stack([w[0] for w in want]).tobytes()
+        assert gain.tobytes() == np.array([w[1] for w in want]).tobytes()
+        assert refl.tobytes() == np.stack([w[2] for w in want]).tobytes()
+        assert gain[-2] == 0.0 and gain[-1] == 0.0
+        assert np.all(refl[-2, 1:] == 0.0) and np.all(refl[-1, 2:] == 0.0)
+
+    def test_cepstrum_matches_per_frame_recursion(self):
+        a, gain, _ = plp_models(power_spectrogram(harmonic_tone(300)))
+        for n_cep in (PLP_ORDER + 1, 20):
+            want = np.stack(
+                [_lpc_to_cepstrum_reference(ai, gi, n_cep) for ai, gi in zip(a, gain)]
+            )
+            assert _lpc_to_cepstrum(a, gain, n_cep).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize(
+        "case", sorted(set(PITCH_CASES) - {"silence", "shorter_than_frame"})
+    )
+    def test_matches_per_frame_plp(self, case):
+        spec = power_spectrogram(PITCH_CASES[case])
+        assert plp(spec).values.tobytes() == _plp_reference(spec).tobytes()
+
+    def test_floored_frames_are_skipped(self):
+        spec = power_spectrogram(PITCH_CASES["half_silent"])
+        assert np.any(_plp_autocorrelation(spec)[:, 0] <= LOG_FLOOR)
+        assert len(plp_models(spec)[1]) < spec.n_frames
 
     def test_shape_and_determinism(self):
         spec = power_spectrogram(harmonic_tone(300))
@@ -231,6 +441,16 @@ class TestPitch:
         pc = f0_contour(silence())
         assert not pc.voicing.any()
         assert np.all(np.isnan(pc.f0_semitone))
+
+    @pytest.mark.parametrize("case", sorted(PITCH_CASES))
+    def test_matches_per_frame_reference(self, case):
+        clip = PITCH_CASES[case]
+        got, want = f0_contour(clip), _f0_contour_reference(clip)
+        assert got.f0_semitone.tobytes() == want.f0_semitone.tobytes()
+        assert got.voicing.tobytes() == want.voicing.tobytes()
+        assert got.frame_hop_s == want.frame_hop_s
+        if case.startswith("frames"):
+            assert got.voicing.size == int(case.removeprefix("frames"))
 
     def test_hz_to_semitone_anchors(self):
         assert hz_to_semitone(27.5) == pytest.approx(0.0)
@@ -335,10 +555,28 @@ class TestGemapsLite:
         with pytest.raises(FeatureError):
             gemaps_lite(tone(440, duration_s=0.05))
 
+    @pytest.mark.parametrize("case", sorted(set(PITCH_CASES) - {"shorter_than_frame"}))
+    def test_h1a3_matches_per_frame_reference(self, case):
+        clip = PITCH_CASES[case]
+        got = gemaps_lite(clip).values[GEMAPS_LITE_NAMES.index("logRelF0-H1-A3_sma3nz_amean"):]
+        assert got.tobytes() == _h1a3_reference(clip).tobytes()
+
     def test_determinism(self):
         a = gemaps_lite(noise_clip(seed=3)).values
         b = gemaps_lite(noise_clip(seed=3)).values
         assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("case", sorted(PITCH_CASES))
+def test_frame_features_raise_no_warnings(case):
+    clip = PITCH_CASES[case]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        f0_contour(clip)
+        with contextlib.suppress(AudioError, FeatureError):
+            plp(power_spectrogram(clip))
+        with contextlib.suppress(FeatureError):
+            gemaps_lite(clip)
 
 
 class TestFeatureStore:

@@ -125,6 +125,19 @@ class TestFullRun:
         assert lines[0].split(",")[0] == "clip_id"
         assert len(lines[0].split(",")) == 37
 
+    def test_extract_computes_one_spectrogram_per_clip(self, corpus, tmp_path, monkeypatch):
+        calls = []
+        real = pipeline.power_spectrogram
+
+        def counting(clip):
+            calls.append(clip)
+            return real(clip)
+
+        monkeypatch.setattr(pipeline, "power_spectrogram", counting)
+        cfg = make_cfg(corpus, tmp_path, feature_sets=("filterbank24", "mfcc13", "plp13"))
+        run_stages(cfg, ["extract"])
+        assert len(calls) == len(load_manifest(corpus[0]).clips)
+
     def test_pairs_csv(self, full_run):
         cfg, _ = full_run
         lines = open(os.path.join(cfg.out_dir, "pairs.csv")).read().splitlines()
@@ -254,6 +267,23 @@ class TestLedgerScope:
         ledger = run_stages(make_cfg(corpus, tmp_path), stages)
         assert len(hashed) == len(stages)
         assert set(ledger) == set(stages)
+
+
+    def test_noop_rerun_reads_each_corpus_file_once(self, full_run, monkeypatch):
+        cfg, _ = full_run
+        opened = []
+
+        def counting_open(path, *args, **kwargs):
+            opened.append(os.fspath(path))
+            return open(path, *args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "open", counting_open, raising=False)
+        ran = record_runs(monkeypatch)
+        run_stages(cfg, ["segment", "extract", "speed"])
+        assert ran == []
+        manifest = load_manifest(cfg.manifest_path)
+        corpus_files = {cfg.manifest_path, *(c.audio_path for c in manifest.clips)}
+        assert sorted(p for p in opened if p in corpus_files) == sorted(corpus_files)
 
 
 class TestLedgerContent:
