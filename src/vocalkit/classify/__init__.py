@@ -13,9 +13,7 @@ from .cv import (
     CVReport,
     accuracy_grid,
     cross_validate,
-    load_model,
     make_folds,
-    save_model,
     write_grid_csv,
 )
 from .trees import Tree, grow_gini_tree, grow_newton_tree
@@ -33,9 +31,7 @@ __all__ = [
     "CVReport",
     "accuracy_grid",
     "cross_validate",
-    "load_model",
     "make_folds",
-    "save_model",
     "write_grid_csv",
     "Tree",
     "grow_gini_tree",

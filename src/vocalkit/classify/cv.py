@@ -3,14 +3,11 @@
 from __future__ import annotations
 
 import csv
-import pickle
 from dataclasses import dataclass
 
 import numpy as np
 
-from .models import ClassifyError, TrainedModel, predict, train
-
-MODEL_BLOB_VERSION = 1
+from .models import ClassifyError, predict, train
 
 
 @dataclass
@@ -137,24 +134,3 @@ def write_grid_csv(path, grid: dict, feature_sets: list, families: list) -> None
                 else:
                     row.append(f"{report.mean_accuracy:.4f}")
             writer.writerow(row)
-
-
-def save_model(path, model: TrainedModel) -> None:
-    """Persist a trained model as a versioned binary blob."""
-    blob = {
-        "version": MODEL_BLOB_VERSION,
-        "family": model.family,
-        "hyper": model.hyper,
-        "seed": model.seed,
-        "model": model,
-    }
-    with open(path, "wb") as fh:
-        pickle.dump(blob, fh)
-
-
-def load_model(path) -> TrainedModel:
-    with open(path, "rb") as fh:
-        blob = pickle.load(fh)
-    if blob.get("version") != MODEL_BLOB_VERSION:
-        raise ClassifyError(f"unsupported model blob version {blob.get('version')}")
-    return blob["model"]

@@ -1,13 +1,14 @@
 """Decision trees shared by the boosted and bagged ensembles.
 
 Exact greedy splitting, vectorized over (sorted) feature columns.  Trees are
-stored as flat parallel arrays so batched prediction is a handful of numpy
-operations per depth level.
+stored as flat parallel arrays; prediction routes every row a fixed number of
+steps, a handful of numpy operations per depth level.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -22,16 +23,49 @@ class Tree:
     right: np.ndarray
     value: np.ndarray  # scalar leaf value or class distribution per node
 
+    @cached_property
+    def _routing(self):
+        """(depth, feature, threshold, children) with absorbing leaves.
+
+        A leaf tests feature 0 against +inf and both its children are itself,
+        so a row that reaches a leaf early stays there.  Node i's left child is
+        children[2 * i] and its right child children[2 * i + 1].
+        """
+        internal = self.feature >= 0
+        is_internal, left, right = internal.tolist(), self.left.tolist(), self.right.tolist()
+        depth, stack = 0, [(0, 0)]
+        while stack:
+            node, node_depth = stack.pop()
+            if is_internal[node]:
+                stack += ((left[node], node_depth + 1), (right[node], node_depth + 1))
+            else:
+                depth = max(depth, node_depth)
+        nodes = np.arange(len(internal))
+        children = np.stack(
+            [np.where(internal, self.left, nodes), np.where(internal, self.right, nodes)],
+            axis=1,
+        ).ravel()
+        feature = np.where(internal, self.feature, 0)
+        threshold = np.where(internal, self.threshold, np.inf)
+        return depth, feature, threshold, children
+
     def predict(self, X: np.ndarray) -> np.ndarray:
-        """Route all rows to their leaf and return the leaf values."""
-        node = np.zeros(len(X), dtype=np.int64)
-        active = self.feature[node] >= 0
-        while np.any(active):
-            idx = node[active]
-            go_left = X[active, self.feature[idx]] <= self.threshold[idx]
-            node[active] = np.where(go_left, self.left[idx], self.right[idx])
-            active = self.feature[node] >= 0
-        return self.value[node]
+        """Route all rows to their leaf and return the leaf values.
+
+        Every row takes exactly `depth` steps.  A row goes right unless
+        x <= threshold, so NaN goes right.
+        """
+        depth, feature, threshold, children = self._routing
+        if depth == 0:
+            return self.value[np.zeros(len(X), dtype=np.int64)]
+        node = np.where(X[:, feature[0]] <= threshold[0], children[0], children[1])
+        if depth > 1:
+            flat = X.ravel()  # row-major, copied when X is not C-contiguous
+            row_start = np.arange(len(X)) * X.shape[1]
+            for _ in range(depth - 1):
+                go_right = ~(flat.take(row_start + feature.take(node)) <= threshold.take(node))
+                node = children.take(2 * node + go_right)
+        return self.value.take(node, axis=0)
 
 
 class _Builder:

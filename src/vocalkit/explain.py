@@ -79,20 +79,24 @@ def dim_type_of(name: str) -> str:
 
 
 def _value_fn(model):
-    """Turn a model or callable into a batched scalar value function factory."""
+    """A model or callable as (batched value function, argmax-class targets).
+
+    fn(rows, target) is each row's value; targets_of(rows) is each row's
+    explained class, from one batched prediction.
+    """
     if isinstance(model, TrainedModel):
         def fn(rows, target):
             return predict_proba(model, rows)[:, target]
 
-        def target_of(x):
-            return int(np.argmax(predict_proba(model, x[None, :])[0]))
+        def targets_of(rows):
+            return np.argmax(predict_proba(model, rows), axis=1)
 
-        return fn, target_of
+        return fn, targets_of
     # plain callable returning a scalar (or vector) per row
     def fn(rows, target):
         return np.array([float(np.asarray(model(r)).ravel()[0]) for r in rows])
 
-    return fn, lambda x: 0
+    return fn, lambda rows: np.zeros(len(rows), dtype=np.int64)
 
 
 def shapley_values(
@@ -116,8 +120,8 @@ def shapley_values(
         raise ExplainError("background/instance dimension mismatch")
     if len(background) == 0:
         raise ExplainError("empty background")
-    fn, target_of = _value_fn(model)
-    target = target_of(x)
+    fn, targets_of = _value_fn(model)
+    target = int(targets_of(x[None, :])[0])
 
     if exhaustive:
         if d > 16:
@@ -144,26 +148,31 @@ def shapley_values(
                 phi[i] += w * (values[tuple(sorted(in_s | {i}))] - values[s])
         return phi
 
+    return _permutation_shapley(fn, target, background, x, n_permutations, seed)
+
+
+def _permutation_shapley(fn, target, background, x, n_permutations, seed) -> np.ndarray:
+    """Permutation-sampling estimate of x's Shapley values (Strumbelj &
+    Kononenko, KAIS 2014), all permutations evaluated in one batch."""
     if n_permutations < 1:
         raise ExplainError("n_permutations must be >= 1")
+    d = len(x)
     rng = np.random.default_rng(seed)
-    rows = np.empty((n_permutations * (d + 1), d))
+    picks = np.empty(n_permutations, dtype=np.int64)
     orders = np.empty((n_permutations, d), dtype=np.int64)
     for p in range(n_permutations):
-        b = background[rng.integers(len(background))]
-        order = rng.permutation(d)
-        orders[p] = order
-        z = b.copy()
-        rows[p * (d + 1)] = z
-        for step, i in enumerate(order):
-            z = z.copy()
-            z[i] = x[i]
-            rows[p * (d + 1) + step + 1] = z
-    evals = fn(rows, target)
+        picks[p] = rng.integers(len(background))
+        orders[p] = rng.permutation(d)
+    rank = np.argsort(orders, axis=1)  # rank[p, i]: position of feature i in order p
+    # row s of permutation p takes x on the features ranked below s, b_p elsewhere
+    steps = np.arange(d + 1)[None, :, None]
+    rows = np.where(rank[:, None, :] < steps, x, background[picks][:, None, :])
+    evals = fn(rows.reshape(-1, d), target).reshape(n_permutations, d + 1)
+    # feature i's marginal contribution in permutation p is the step at rank[p, i]
+    contrib = np.take_along_axis(np.diff(evals, axis=1), rank, axis=1)
     phi = np.zeros(d)
-    for p in range(n_permutations):
-        seg = evals[p * (d + 1):(p + 1) * (d + 1)]
-        phi[orders[p]] += np.diff(seg)
+    for row in contrib:  # one permutation at a time: the addition order fixes the bits
+        phi += row
     return phi / n_permutations
 
 
@@ -171,8 +180,8 @@ def efficiency_check(model, background, x, attributions) -> float:
     """Residual of the efficiency axiom: |sum(phi) - (f(x) - mean f(bg))|."""
     background = np.atleast_2d(np.asarray(background, dtype=float))
     x = np.asarray(x, dtype=float).ravel()
-    fn, target_of = _value_fn(model)
-    target = target_of(x)
+    fn, targets_of = _value_fn(model)
+    target = int(targets_of(x[None, :])[0])
     fx = float(fn(x[None, :], target)[0])
     fbg = float(fn(background, target).mean())
     return abs(float(np.sum(attributions)) - (fx - fbg))
@@ -200,10 +209,12 @@ def mean_abs_shap(
     sample_idx = np.sort(rng.choice(n, size=sample_size, replace=False))
     bg_idx = np.sort(rng.choice(n, size=min(SHAP_BACKGROUND_SIZE, n), replace=False))
     background = X[bg_idx]
+    fn, targets_of = _value_fn(model)
+    targets = targets_of(X[sample_idx])
     total = np.zeros(d)
-    for pos, i in enumerate(sample_idx):
-        phi = shapley_values(
-            model, background, X[i], n_permutations=n_permutations,
+    for pos, (i, target) in enumerate(zip(sample_idx, targets)):
+        phi = _permutation_shapley(
+            fn, int(target), background, X[i], n_permutations,
             seed=seed + 1000003 * (pos + 1),
         )
         total += np.abs(phi)

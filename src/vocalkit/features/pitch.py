@@ -1,8 +1,10 @@
 """Pitch and loudness contours.
 
-Pitch uses normalized autocorrelation in the 60-1600 Hz range with a clarity
-threshold for voicing and a small octave cost favoring the shorter lag among
-near-equal candidates.  Unvoiced frames carry NaN in the semitone track.
+Pitch uses normalized autocorrelation with a clarity threshold for voicing
+and a small octave cost favoring the shorter lag among near-equal candidates.
+Candidates are interior peaks of the lag grid from floor(sr / 1600) to
+ceil(sr / 60), so a tone is tracked from about 61 Hz up to about 1,600 Hz:
+1,520 Hz at 16 kHz, 1,570 Hz at 48 kHz and 1,600 Hz at 44.1 kHz.  Unvoiced frames carry NaN in the semitone track.
 """
 
 from __future__ import annotations

@@ -6,9 +6,7 @@ from vocalkit.classify.cv import (
     CVReport,
     accuracy_grid,
     cross_validate,
-    load_model,
     make_folds,
-    save_model,
     write_grid_csv,
 )
 from vocalkit.classify.models import (
@@ -20,7 +18,7 @@ from vocalkit.classify.models import (
     predict_proba,
     train,
 )
-from vocalkit.classify.trees import grow_gini_tree, grow_newton_tree
+from vocalkit.classify.trees import Tree, grow_gini_tree, grow_newton_tree
 
 
 def predict_row_slow(tree, row):
@@ -29,6 +27,25 @@ def predict_row_slow(tree, row):
     while tree.feature[i] >= 0:
         i = tree.left[i] if row[tree.feature[i]] <= tree.threshold[i] else tree.right[i]
     return tree.value[i]
+
+
+def predict_masked_reference(tree, X):
+    """The masked level-by-level traversal Tree.predict replaced: only rows
+    not yet at a leaf take the next step."""
+    node = np.zeros(len(X), dtype=np.int64)
+    active = tree.feature[node] >= 0
+    while np.any(active):
+        idx = node[active]
+        go_left = X[active, tree.feature[idx]] <= tree.threshold[idx]
+        node[active] = np.where(go_left, tree.left[idx], tree.right[idx])
+        active = tree.feature[node] >= 0
+    return tree.value[node]
+
+
+def tree_depth(tree, node=0):
+    if tree.feature[node] < 0:
+        return 0
+    return 1 + max(tree_depth(tree, tree.left[node]), tree_depth(tree, tree.right[node]))
 
 
 def blobs(n_per_class=30, n_classes=3, d=4, spread=0.5, seed=0):
@@ -103,6 +120,69 @@ class TestTrees:
         y = np.zeros(10, dtype=int)
         tree = grow_gini_tree(X, y, 2, np.random.default_rng(0))
         assert len(tree.feature) == 1 and tree.feature[0] == -1
+
+
+
+class TestFixedStepPredict:
+    """Tree.predict against the masked traversal, compared byte for byte."""
+
+    @staticmethod
+    def queries(rng, X):
+        Q = np.concatenate([X, rng.standard_normal((150, X.shape[1])) * X.std(axis=0)])
+        Q[::7, :] = np.nan  # whole rows of NaN
+        Q[3::5, 0] = np.nan  # NaN in one split feature
+        return Q
+
+    def assert_matches(self, tree, Q):
+        for view in (Q, Q[:1], Q[:0], np.asfortranarray(Q), Q[::2]):
+            assert tree.predict(view).tobytes() == predict_masked_reference(tree, view).tobytes()
+
+    @pytest.mark.parametrize("max_depth", [0, 1, 4])
+    def test_newton_trees(self, rng, max_depth):
+        X = rng.standard_normal((120, 6))
+        X[:, 2] = np.round(X[:, 2])  # ties
+        Q = self.queries(rng, X)
+        for seed in range(5):
+            g = np.random.default_rng(seed).standard_normal(120)
+            h = np.abs(np.random.default_rng(seed + 100).standard_normal(120)) + 0.1
+            tree = grow_newton_tree(X, g, h, max_depth=max_depth)
+            assert tree_depth(tree) <= max_depth
+            self.assert_matches(tree, Q)
+        assert tree_depth(tree) == max_depth
+
+    def test_deep_gini_trees(self, rng):
+        X = rng.standard_normal((400, 8))
+        y = rng.integers(0, 3, size=400)  # random labels grow deep trees
+        Q = self.queries(rng, X)
+        depths = []
+        for seed in range(3):
+            tree = grow_gini_tree(X, y, 3, np.random.default_rng(seed), max_depth=16,
+                                  max_features=3)
+            depths.append(tree_depth(tree))
+            self.assert_matches(tree, Q)
+        assert min(depths) >= 12
+
+    def test_non_contiguous_columns(self, rng):
+        X = rng.standard_normal((100, 5))
+        tree = grow_newton_tree(X, rng.standard_normal(100), np.ones(100), max_depth=4)
+        reversed_cols = X[:, ::-1]
+        assert not reversed_cols.flags.c_contiguous
+        assert tree.predict(reversed_cols).tobytes() == (
+            predict_masked_reference(tree, reversed_cols).tobytes()
+        )
+        assert tree.predict(np.asfortranarray(X)).tobytes() == tree.predict(X).tobytes()
+
+    @pytest.mark.parametrize(
+        "family, hyper",
+        [("gradient_boosted_trees", {"n_rounds": 20}), ("random_forest", {"n_trees": 20})],
+    )
+    def test_fitted_models(self, rng, monkeypatch, family, hyper):
+        X, y = blobs(spread=2.5, seed=12)
+        model = train(family, X, y, hyper=hyper, seed=3)
+        Q = self.queries(rng, X)
+        fast = predict_proba(model, Q)
+        monkeypatch.setattr(Tree, "predict", predict_masked_reference)
+        assert fast.tobytes() == predict_proba(model, Q).tobytes()
 
 
 class TestKnn:
@@ -318,23 +398,3 @@ class TestGrid:
         assert lines[1].startswith("setA,")
         assert float(cell) > 0.9 and len(cell.split(".")[1]) == 4
         assert lines[2] == "tiny,ERR"
-
-
-class TestModelStore:
-    def test_round_trip(self, tmp_path):
-        X, y = blobs(n_per_class=10, seed=18)
-        model = train("logistic_regression", X, y)
-        path = tmp_path / "model.bin"
-        save_model(path, model)
-        back = load_model(path)
-        assert back.family == model.family
-        assert np.array_equal(predict_proba(back, X), predict_proba(model, X))
-
-    def test_version_check(self, tmp_path):
-        import pickle
-
-        path = tmp_path / "bad.bin"
-        with open(path, "wb") as fh:
-            pickle.dump({"version": 99}, fh)
-        with pytest.raises(ClassifyError):
-            load_model(path)

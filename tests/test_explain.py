@@ -8,6 +8,7 @@ import scipy.stats
 from vocalkit.explain import (
     ExplainError,
     PearsonRow,
+    SHAP_BACKGROUND_SIZE,
     ShapRow,
     correlate_pairs,
     dim_type_of,
@@ -18,7 +19,7 @@ from vocalkit.explain import (
     write_attribution_csv,
     write_correlation_csv,
 )
-from vocalkit.classify import train
+from vocalkit.classify import predict_proba, train
 from vocalkit.features import FeatureVector
 from vocalkit.pairing import ClipRecord
 
@@ -40,6 +41,40 @@ class TestDimTypes:
         assert dim_type_of("MeanVoicedSegmentLengthSec") == "Temporal"
         assert dim_type_of("alphaRatioV_sma3nz_amean") == "Spectral"
         assert dim_type_of("mfcc_03") == "Spectral"
+
+
+def permutation_shapley_reference(model, background, x, n_permutations, seed):
+    """The per-row loop the batched permutation design replaced: each
+    permutation copies the previous row and sets one more feature to x."""
+    target = int(np.argmax(predict_proba(model, x[None, :])[0]))
+    d = len(x)
+    rng = np.random.default_rng(seed)
+    rows = np.empty((n_permutations * (d + 1), d))
+    orders = np.empty((n_permutations, d), dtype=np.int64)
+    for p in range(n_permutations):
+        b = background[rng.integers(len(background))]
+        order = rng.permutation(d)
+        orders[p] = order
+        z = b.copy()
+        rows[p * (d + 1)] = z
+        for step, i in enumerate(order):
+            z = z.copy()
+            z[i] = x[i]
+            rows[p * (d + 1) + step + 1] = z
+    evals = predict_proba(model, rows)[:, target]
+    phi = np.zeros(d)
+    for p in range(n_permutations):
+        phi[orders[p]] += np.diff(evals[p * (d + 1):(p + 1) * (d + 1)])
+    return phi / n_permutations
+
+
+@pytest.fixture(scope="module")
+def three_class_gbt():
+    rng = np.random.default_rng(21)
+    X = np.concatenate([rng.normal(c, 1.0, (12, 5)) for c in (-2.0, 0.0, 2.0)])
+    X[:, 3] = rng.standard_normal(36)
+    y = np.repeat([0, 1, 2], 12)
+    return X, train("gradient_boosted_trees", X, y, hyper={"n_rounds": 15}, seed=2)
 
 
 class TestShapley:
@@ -121,6 +156,13 @@ class TestShapley:
         b = shapley_values(model, background, x, n_permutations=50, seed=9)
         assert np.array_equal(a, b)
 
+    def test_matches_per_row_reference(self, three_class_gbt):
+        X, model = three_class_gbt
+        for i in (0, 13, 30):
+            phi = shapley_values(model, X[::3], X[i], n_permutations=40, seed=i)
+            ref = permutation_shapley_reference(model, X[::3], X[i], 40, seed=i)
+            assert phi.tobytes() == ref.tobytes()
+
     def test_dimension_mismatch(self, rng):
         with pytest.raises(ExplainError):
             shapley_values(lambda r: 0.0, rng.standard_normal((3, 4)), np.zeros(5))
@@ -158,6 +200,26 @@ class TestMeanAbsShap:
         )
         types = {r.feature_name: r.dim_type for r in rows}
         assert types == {"loudness_sma3_amean": "Energy", "mfcc_01": "Spectral"}
+
+    def test_matches_per_row_reference(self, three_class_gbt):
+        X, model = three_class_gbt
+        seed, sample_size = 4, 9
+        rows = mean_abs_shap(
+            model, X, [f"f{i}" for i in range(5)], sample_size=sample_size, seed=seed,
+            n_permutations=25,
+        )
+        rng = np.random.default_rng(seed)
+        sample_idx = np.sort(rng.choice(len(X), size=sample_size, replace=False))
+        bg_idx = np.sort(rng.choice(len(X), size=SHAP_BACKGROUND_SIZE, replace=False))
+        targets = np.argmax(predict_proba(model, X[sample_idx]), axis=1)
+        assert len(set(targets)) == 3  # rows explain different classes
+        total = np.zeros(5)
+        for pos, i in enumerate(sample_idx):
+            total += np.abs(permutation_shapley_reference(
+                model, X[bg_idx], X[i], 25, seed=seed + 1000003 * (pos + 1)
+            ))
+        want = total / sample_size
+        assert [r.mean_abs_shap for r in rows] == [want[int(r.feature_name[1:])] for r in rows]
 
     def test_name_length_mismatch(self, rng):
         with pytest.raises(ExplainError):
