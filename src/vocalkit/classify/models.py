@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .trees import Tree, grow_gini_tree, grow_newton_tree
+from .trees import Tree, grow_gini_tree, grow_newton_tree, sort_columns
 
 FAMILIES = (
     "gradient_boosted_trees",
@@ -71,8 +71,9 @@ def _train_gbt(X, y, hyper, seed, n_classes):
     n = len(y)
     onehot = np.eye(n_classes)[y]
     scores = np.zeros((n, n_classes))
+    order = sort_columns(X)
+    leaf_values = np.empty(n)
     trees: list[list[Tree]] = []
-    loss_curve = []
     for _ in range(hyper["n_rounds"]):
         p = _softmax(scores)
         round_trees = []
@@ -80,13 +81,13 @@ def _train_gbt(X, y, hyper, seed, n_classes):
             g = p[:, k] - onehot[:, k]
             h = np.maximum(p[:, k] * (1.0 - p[:, k]), 1e-12)
             tree = grow_newton_tree(
-                X, g, h, max_depth=hyper["max_depth"], lam=hyper["reg_lambda"]
+                X, g, h, max_depth=hyper["max_depth"], lam=hyper["reg_lambda"],
+                order=order, out=leaf_values,
             )
-            scores[:, k] += hyper["learning_rate"] * tree.predict(X)
+            scores[:, k] += hyper["learning_rate"] * leaf_values
             round_trees.append(tree)
         trees.append(round_trees)
-        loss_curve.append(softmax_cross_entropy(scores, y))
-    return {"trees": trees, "loss_curve": loss_curve}
+    return {"trees": trees}
 
 
 def _predict_gbt(model: TrainedModel, X):
@@ -167,17 +168,22 @@ def _predict_rf(model: TrainedModel, X):
     return votes / len(model.params["trees"])
 
 
+_KNN_CHUNK_ELEMS = 1 << 16  # bounds the (chunk, n_train, d) difference array to 512 KiB
+
+
 def _predict_knn(model: TrainedModel, X):
     train_X = model.params["X"]
     train_y = model.params["y"]
     k = model.hyper["k"]
+    chunk = max(1, _KNN_CHUNK_ELEMS // max(train_X.size, 1))
     probs = np.zeros((len(X), model.n_classes))
-    for i, row in enumerate(X):
-        dist = np.sqrt(((train_X - row) ** 2).sum(axis=1))
+    for start in range(0, len(X), chunk):
+        diff = train_X - X[start:start + chunk, None, :]
+        dist = np.sqrt(np.square(diff, out=diff).sum(axis=2))
         # stable sort: equal distances resolve to the lower training index
-        neighbors = np.argsort(dist, kind="stable")[:k]
-        counts = np.bincount(train_y[neighbors], minlength=model.n_classes)
-        probs[i] = counts / k
+        neighbors = np.argsort(dist, axis=1, kind="stable")[:, :k]
+        counts = (train_y[neighbors][:, :, None] == np.arange(model.n_classes)).sum(axis=1)
+        probs[start:start + chunk] = counts / k
     return probs
 
 

@@ -1,6 +1,6 @@
 """Decision trees shared by the boosted and bagged ensembles.
 
-Exact greedy splitting, vectorized over (sorted) feature columns.  Trees are
+Exact greedy splitting, vectorized over sorted feature columns.  Trees are
 stored as flat parallel arrays; prediction routes every row a fixed number of
 steps, a handful of numpy operations per depth level.
 """
@@ -94,22 +94,23 @@ class _Builder:
         )
 
 
-def _best_split_newton(Xn, gn, hn, lam):
-    """Best (feature, threshold) maximizing the Newton gain; None if no gain."""
-    order = np.argsort(Xn, axis=0, kind="stable")
-    Xs = np.take_along_axis(Xn, order, axis=0)
-    GL = np.cumsum(gn[order], axis=0)[:-1]
-    HL = np.cumsum(hn[order], axis=0)[:-1]
-    G, H = gn.sum(), hn.sum()
-    GR, HR = G - GL, H - HL
-    gains = GL ** 2 / (HL + lam) + GR ** 2 / (HR + lam) - G ** 2 / (H + lam)
-    gains = np.where(Xs[1:] > Xs[:-1], gains, -np.inf)
-    if gains.size == 0:
-        return None
-    t, f = np.unravel_index(np.argmax(gains), gains.shape)
-    if not np.isfinite(gains[t, f]) or gains[t, f] <= _MIN_GAIN:
-        return None
-    return f, 0.5 * (Xs[t, f] + Xs[t + 1, f])
+def sort_columns(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each column's row ids in ascending order of value, and those values.
+
+    Both arrays are (d, n).  The sort is stable, so tied values keep
+    ascending row ids, and NaN sorts last.
+    """
+    rows = np.argsort(X.T, axis=1, kind="stable")
+    return rows, np.take_along_axis(X.T, rows, axis=1)
+
+
+def _subset(rows, values, keep_row):
+    """The rows with keep_row[row] set, from every column, in sorted order."""
+    keep = keep_row[rows].ravel()
+    return (
+        rows.ravel().compress(keep).reshape(len(rows), -1),
+        values.ravel().compress(keep).reshape(len(rows), -1),
+    )
 
 
 def grow_newton_tree(
@@ -118,26 +119,61 @@ def grow_newton_tree(
     hess: np.ndarray,
     max_depth: int,
     lam: float = 1.0,
+    *,
+    order: tuple[np.ndarray, np.ndarray] | None = None,
+    out: np.ndarray | None = None,
 ) -> Tree:
-    """Regression tree on a gradient/hessian pair; leaf = -sum(g)/(sum(h)+lam)."""
+    """Regression tree on a gradient/hessian pair; leaf = -sum(g)/(sum(h)+lam).
+
+    `order` is `sort_columns(X)`, computed here unless given; a boosted fit
+    sorts once and shares it among all its trees.  Each node holds its rows
+    sorted per column and hands each child the stable subset that
+    `X[:, f] <= thr` sends there, so ties stay in row-id order.  The best
+    split maximizes the Newton gain, first in (rank, feature) order.  If
+    `out` is given, each training row's leaf value is written to it, equal
+    to `tree.predict(X)`.
+    """
+    rows, values = sort_columns(X) if order is None else order
+    d = X.shape[1]
+    gh = np.array((grad, hess), dtype=float)
     b = _Builder(value_dim=1)
 
-    def build(idx, depth) -> int:
-        g, h = grad[idx], hess[idx]
-        leaf_value = -g.sum() / (h.sum() + lam)
-        if depth >= max_depth or len(idx) < 2:
-            return b.add(value=leaf_value)
-        split = _best_split_newton(X[idx], g, h, lam)
-        if split is None:
-            return b.add(value=leaf_value)
-        f, thr = split
-        node = b.add(feature=f, threshold=thr, value=leaf_value)
-        mask = X[idx, f] <= thr
-        b.left[node] = build(idx[mask], depth + 1)
-        b.right[node] = build(idx[~mask], depth + 1)
-        return node
+    def build(idx, rows, values, depth) -> int:
+        # idx: the node's row ids, ascending; rows/values: (d, len(idx))
+        G, H = grad[idx].sum(), hess[idx].sum()
+        leaf_value = -G / (H + lam)
+        if depth < max_depth and len(idx) >= 2 and d:
+            # Newton gain of a cut after rank t of feature f, as an (m-1, d) array,
+            # GL²/(HL+lam) + GR²/(HR+lam) - G²/(H+lam) computed in place
+            GL, HL = gh.take(rows.T[:-1], axis=1).cumsum(axis=1)
+            GR, HR = G - GL, H - HL
+            np.square(GL, out=GL)
+            HL += lam
+            GL /= HL
+            np.square(GR, out=GR)
+            HR += lam
+            GR /= HR
+            gains = np.add(GL, GR, out=GL)
+            gains -= G ** 2 / (H + lam)
+            gains[~(values.T[1:] > values.T[:-1])] = -np.inf
+            t, f = divmod(int(gains.argmax()), d)
+            if np.isfinite(gains[t, f]) and gains[t, f] > _MIN_GAIN:
+                thr = 0.5 * (values[f, t] + values[f, t + 1])
+                node = b.add(feature=f, threshold=thr, value=leaf_value)
+                goes_left = X[:, f] <= thr
+                goes_right = ~goes_left
+                b.left[node] = build(
+                    idx[goes_left[idx]], *_subset(rows, values, goes_left), depth + 1
+                )
+                b.right[node] = build(
+                    idx[goes_right[idx]], *_subset(rows, values, goes_right), depth + 1
+                )
+                return node
+        if out is not None:
+            out[idx] = leaf_value
+        return b.add(value=leaf_value)
 
-    build(np.arange(len(X)), 0)
+    build(np.arange(len(X)), rows, values, 0)
     return b.finish()
 
 

@@ -9,6 +9,7 @@ from vocalkit.classify.cv import (
     make_folds,
     write_grid_csv,
 )
+from vocalkit.classify import models
 from vocalkit.classify.models import (
     DEFAULT_HYPER,
     FAMILIES,
@@ -16,9 +17,17 @@ from vocalkit.classify.models import (
     lr_loss_grad,
     predict,
     predict_proba,
+    softmax_cross_entropy,
     train,
 )
-from vocalkit.classify.trees import Tree, grow_gini_tree, grow_newton_tree
+from vocalkit.classify.trees import (
+    Tree,
+    _Builder,
+    _MIN_GAIN,
+    grow_gini_tree,
+    grow_newton_tree,
+    sort_columns,
+)
 
 
 def predict_row_slow(tree, row):
@@ -40,6 +49,76 @@ def predict_masked_reference(tree, X):
         node[active] = np.where(go_left, tree.left[idx], tree.right[idx])
         active = tree.feature[node] >= 0
     return tree.value[node]
+
+
+def best_split_newton_reference(Xn, gn, hn, lam):
+    """The per-node split search grow_newton_tree replaced: a stable argsort
+    of the node's rows at every node."""
+    order = np.argsort(Xn, axis=0, kind="stable")
+    Xs = np.take_along_axis(Xn, order, axis=0)
+    GL = np.cumsum(gn[order], axis=0)[:-1]
+    HL = np.cumsum(hn[order], axis=0)[:-1]
+    G, H = gn.sum(), hn.sum()
+    GR, HR = G - GL, H - HL
+    gains = GL ** 2 / (HL + lam) + GR ** 2 / (HR + lam) - G ** 2 / (H + lam)
+    gains = np.where(Xs[1:] > Xs[:-1], gains, -np.inf)
+    if gains.size == 0:
+        return None
+    t, f = np.unravel_index(np.argmax(gains), gains.shape)
+    if not np.isfinite(gains[t, f]) or gains[t, f] <= _MIN_GAIN:
+        return None
+    return f, 0.5 * (Xs[t, f] + Xs[t + 1, f])
+
+
+def grow_newton_tree_reference(X, grad, hess, max_depth, lam=1.0):
+    """The per-node argsort builder grow_newton_tree replaced."""
+    b = _Builder(value_dim=1)
+
+    def build(idx, depth):
+        g, h = grad[idx], hess[idx]
+        leaf_value = -g.sum() / (h.sum() + lam)
+        if depth >= max_depth or len(idx) < 2:
+            return b.add(value=leaf_value)
+        split = best_split_newton_reference(X[idx], g, h, lam)
+        if split is None:
+            return b.add(value=leaf_value)
+        f, thr = split
+        node = b.add(feature=f, threshold=thr, value=leaf_value)
+        mask = X[idx, f] <= thr
+        b.left[node] = build(idx[mask], depth + 1)
+        b.right[node] = build(idx[~mask], depth + 1)
+        return node
+
+    build(np.arange(len(X)), 0)
+    return b.finish()
+
+
+def train_gbt_reference(X, y, hyper, n_classes):
+    """Boosted trees from the reference builder, updating the training
+    scores with a predict on the training rows after every tree."""
+    onehot = np.eye(n_classes)[y]
+    scores = np.zeros((len(y), n_classes))
+    trees = []
+    for _ in range(hyper["n_rounds"]):
+        p = models._softmax(scores)
+        round_trees = []
+        for k in range(n_classes):
+            g = p[:, k] - onehot[:, k]
+            h = np.maximum(p[:, k] * (1.0 - p[:, k]), 1e-12)
+            tree = grow_newton_tree_reference(
+                X, g, h, max_depth=hyper["max_depth"], lam=hyper["reg_lambda"]
+            )
+            scores[:, k] += hyper["learning_rate"] * tree.predict(X)
+            round_trees.append(tree)
+        trees.append(round_trees)
+    return trees
+
+
+TREE_ARRAYS = ("feature", "threshold", "left", "right", "value")
+
+
+def tree_bytes(tree):
+    return [getattr(tree, name).tobytes() for name in TREE_ARRAYS]
 
 
 def tree_depth(tree, node=0):
@@ -123,6 +202,96 @@ class TestTrees:
 
 
 
+def sorted_grower_data(kind, rng):
+    """Design matrices that stress the sort-once grower's tie handling."""
+    X = rng.standard_normal((90, 6))
+    if kind == "ties":
+        X = np.round(X)
+    elif kind == "constant_column":
+        X[:, 2] = 1.5
+    elif kind == "duplicated_columns":
+        X[:, 3] = X[:, 1]
+        X[:, 5] = np.round(X[:, 0], 1)
+        X[:, 4] = X[:, 5]
+    elif kind == "nan_column":
+        X[:, 1] = np.round(X[:, 1], 1)
+        X[rng.permutation(90)[:25], 1] = np.nan
+    elif kind == "tiny":
+        X = np.round(X[:5], 1)
+    return X
+
+
+class TestSortedGrower:
+    """grow_newton_tree against the per-node argsort builder, byte for byte."""
+
+    @pytest.mark.parametrize(
+        "kind", ["random", "ties", "constant_column", "duplicated_columns", "nan_column", "tiny"]
+    )
+    @pytest.mark.parametrize("max_depth", [0, 1, 4])
+    def test_matches_reference_builder(self, rng, kind, max_depth):
+        X = sorted_grower_data(kind, rng)
+        n = len(X)
+        order = sort_columns(X)
+        for seed in range(6):
+            g = np.random.default_rng(seed).standard_normal(n)
+            h = np.abs(np.random.default_rng(seed + 100).standard_normal(n)) + 0.05
+            if seed % 3 == 2:
+                g = np.round(g)  # tied gains
+            want = grow_newton_tree_reference(X, g, h, max_depth=max_depth, lam=0.7)
+            got = grow_newton_tree(X, g, h, max_depth=max_depth, lam=0.7)
+            assert tree_bytes(got) == tree_bytes(want)
+            out = np.full(n, np.nan)
+            shared = grow_newton_tree(X, g, h, max_depth, lam=0.7, order=order, out=out)
+            assert tree_bytes(shared) == tree_bytes(want)
+            assert out.tobytes() == want.predict(X).tobytes()
+
+    def test_single_row_nodes(self):
+        # one large gradient is cut off on its own, leaving a 1-row node
+        X = np.array([[0.0, 3.0], [1.0, 3.0], [2.0, 1.0], [3.0, np.nan], [4.0, 2.0]])
+        g = np.array([-9.0, 0.5, 0.4, 0.6, 0.5])
+        h = np.ones(5)
+        for max_depth in (1, 2, 4):
+            out = np.empty(5)
+            tree = grow_newton_tree(X, g, h, max_depth, order=sort_columns(X), out=out)
+            want = grow_newton_tree_reference(X, g, h, max_depth)
+            assert tree_bytes(tree) == tree_bytes(want)
+            assert out.tobytes() == want.predict(X).tobytes()
+            leaf_ids = Tree(tree.feature, tree.threshold, tree.left, tree.right,
+                            np.arange(len(tree.feature))).predict(X)
+            assert 1 in np.unique(leaf_ids, return_counts=True)[1]
+        for Xn in (X[:1], X[:2], X[:, :0]):  # one row, two rows, no features
+            n = len(Xn)
+            out = np.empty(n)
+            tree = grow_newton_tree(Xn, g[:n], h[:n], 4, out=out)
+            assert tree_bytes(tree) == tree_bytes(grow_newton_tree_reference(Xn, g[:n], h[:n], 4))
+            assert out.tobytes() == tree.predict(Xn).tobytes()
+
+    def test_boosted_ensemble_matches_reference(self, rng):
+        X = rng.standard_normal((48, 72))
+        X[:, ::4] = np.round(X[:, ::4], 1)
+        X[:, 7] = 0.0
+        y = np.repeat(np.arange(4), 12)
+        X[:, :8] += 0.8 * np.eye(4)[y].repeat(2, axis=1)
+        model = train("gradient_boosted_trees", X, y)
+        want = train_gbt_reference(X, y, model.hyper, 4)
+        assert len(model.params["trees"]) == len(want) == 200
+        for got_round, want_round in zip(model.params["trees"], want):
+            assert [tree_bytes(t) for t in got_round] == [tree_bytes(t) for t in want_round]
+
+    def test_boosted_fit_predicts_nothing(self, monkeypatch):
+        calls = []
+        real_predict = Tree.predict
+
+        def counting_predict(tree, X):
+            calls.append(len(X))
+            return real_predict(tree, X)
+
+        monkeypatch.setattr(Tree, "predict", counting_predict)
+        X, y = blobs(n_per_class=15, seed=18)
+        train("gradient_boosted_trees", X, y, hyper={"n_rounds": 10})
+        assert calls == []
+
+
 class TestFixedStepPredict:
     """Tree.predict against the masked traversal, compared byte for byte."""
 
@@ -185,7 +354,30 @@ class TestFixedStepPredict:
         assert fast.tobytes() == predict_proba(model, Q).tobytes()
 
 
+def predict_knn_reference(model, X):
+    """The per-row loop _predict_knn replaced."""
+    train_X, train_y, k = model.params["X"], model.params["y"], model.hyper["k"]
+    probs = np.zeros((len(X), model.n_classes))
+    for i, row in enumerate(X):
+        dist = np.sqrt(((train_X - row) ** 2).sum(axis=1))
+        neighbors = np.argsort(dist, kind="stable")[:k]
+        probs[i] = np.bincount(train_y[neighbors], minlength=model.n_classes) / k
+    return probs
+
+
 class TestKnn:
+    @pytest.mark.parametrize("chunk_elems", [1, 700, 1 << 19])
+    def test_matches_row_loop(self, rng, monkeypatch, chunk_elems):
+        monkeypatch.setattr(models, "_KNN_CHUNK_ELEMS", chunk_elems)
+        for n, d in ((40, 3), (48, 72)):
+            X = np.round(rng.standard_normal((n, d)))  # many tied distances
+            X[5] = X[9]  # duplicated training rows
+            y = rng.integers(0, 4, size=n)
+            Q = np.concatenate([X[:10], np.round(rng.standard_normal((37, d)))])
+            model = train("k_nearest_neighbors", X, y, hyper={"k": 4})
+            Qs = (Q - model.scaler[0]) / model.scaler[1]
+            assert predict_proba(model, Q).tobytes() == predict_knn_reference(model, Qs).tobytes()
+
     def test_against_brute_force(self, rng):
         X, y = blobs(n_per_class=20, spread=2.0, seed=2)
         Xq = rng.standard_normal((15, X.shape[1])) * 3
@@ -256,7 +448,13 @@ class TestGradientBoostedTrees:
     def test_loss_curve_decreases(self):
         X, y = blobs(n_per_class=20, seed=6)
         model = train("gradient_boosted_trees", X, y, hyper={"n_rounds": 40})
-        curve = model.params["loss_curve"]
+        # training loss after each round, summing the trees in fitting order
+        scores = np.zeros((len(y), model.n_classes))
+        curve = []
+        for round_trees in model.params["trees"]:
+            for k, tree in enumerate(round_trees):
+                scores[:, k] += model.hyper["learning_rate"] * tree.predict(X)
+            curve.append(softmax_cross_entropy(scores, y))
         assert len(curve) == 40
         assert curve[-1] < curve[0]
         assert all(b <= a + 1e-9 for a, b in zip(curve, curve[1:]))
