@@ -11,8 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from vocalkit.audio import AudioClip, load_audio
-from vocalkit.pipeline import extract_features_for_clip
-from vocalkit.features.gemaps import GEMAPS_LITE_NAMES, LEVEL_DEPENDENT_DIMS
+from vocalkit.features import GEMAPS_LITE_NAMES, LEVEL_DEPENDENT_DIMS, clip_vector
 from vocalkit.manifest import load_manifest
 from vocalkit.synth import SynthGroup, SynthSpec, generate
 
@@ -32,13 +31,13 @@ def main():
     clip = load_audio(rec.audio_path, id=rec.id)
 
     for set_id in ("filterbank24", "mfcc13", "plp13", "gemaps_lite"):
-        vec = extract_features_for_clip(clip, rec.id, set_id)
+        vec = clip_vector(clip, set_id, rec.id)
         head = ", ".join(f"{v:.3f}" for v in vec.values[:4])
         print(f"{set_id:12s} d={len(vec.values):2d}  first values: {head}, ...")
 
-    vec = extract_features_for_clip(clip, rec.id, "gemaps_lite")
+    vec = clip_vector(clip, "gemaps_lite", rec.id)
     louder = AudioClip(clip.samples * 4.0, clip.sample_rate, id=rec.id)
-    vec4 = extract_features_for_clip(louder, rec.id, "gemaps_lite")
+    vec4 = clip_vector(louder, "gemaps_lite", rec.id)
     print("\ngain test (waveform x4):")
     for name, a, b in zip(GEMAPS_LITE_NAMES, vec.values, vec4.values):
         if name in LEVEL_DEPENDENT_DIMS:

@@ -8,6 +8,7 @@ functions are pure; the same input bytes always produce the same output.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.io import wavfile
@@ -47,6 +48,12 @@ class AudioClip:
     @property
     def duration_s(self) -> float:
         return len(self.samples) / self.sample_rate
+
+    @cached_property
+    def spectrogram(self) -> "SpectralFrameSeq":
+        """The clip's default power spectrogram, computed on first use; every
+        feature set of the clip reads this one."""
+        return power_spectrogram(self)
 
     def slice_s(self, start_s: float, end_s: float, id: str = "") -> "AudioClip":
         """Sub-clip between two times (clamped to the clip)."""

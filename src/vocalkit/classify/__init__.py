@@ -6,7 +6,6 @@ from .models import (
     lr_loss_grad,
     predict,
     predict_proba,
-    softmax_cross_entropy,
     train,
 )
 from .cv import (
@@ -26,7 +25,6 @@ __all__ = [
     "lr_loss_grad",
     "predict",
     "predict_proba",
-    "softmax_cross_entropy",
     "train",
     "CVReport",
     "accuracy_grid",

@@ -62,11 +62,6 @@ def _standardize_fit(X: np.ndarray):
     return mean, std
 
 
-def softmax_cross_entropy(scores: np.ndarray, y: np.ndarray) -> float:
-    p = _softmax(scores)
-    return float(-np.mean(np.log(np.maximum(p[np.arange(len(y)), y], 1e-300))))
-
-
 def _train_gbt(X, y, hyper, seed, n_classes):
     n = len(y)
     onehot = np.eye(n_classes)[y]

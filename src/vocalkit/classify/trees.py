@@ -69,11 +69,10 @@ class Tree:
 
 
 class _Builder:
-    def __init__(self, value_dim: int):
+    def __init__(self):
         self.feature, self.threshold = [], []
         self.left, self.right = [], []
         self.value = []
-        self.value_dim = value_dim
 
     def add(self, feature=-1, threshold=0.0, value=0.0) -> int:
         self.feature.append(feature)
@@ -136,7 +135,7 @@ def grow_newton_tree(
     rows, values = sort_columns(X) if order is None else order
     d = X.shape[1]
     gh = np.array((grad, hess), dtype=float)
-    b = _Builder(value_dim=1)
+    b = _Builder()
 
     def build(idx, rows, values, depth) -> int:
         # idx: the node's row ids, ascending; rows/values: (d, len(idx))
@@ -212,7 +211,7 @@ def grow_gini_tree(
     """
     onehot = np.eye(n_classes)[y]
     d = X.shape[1]
-    b = _Builder(value_dim=n_classes)
+    b = _Builder()
 
     def build(idx, depth) -> int:
         counts = onehot[idx].sum(axis=0)

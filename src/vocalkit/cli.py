@@ -11,7 +11,10 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 
+from .classify import FAMILIES
+from .features import FEATURE_SET_DIMS
 from .manifest import ManifestError
 from .pipeline import STAGES, RunConfig, StageError, run_stages, stats_report
 
@@ -21,6 +24,9 @@ EXIT_STAGE = 2
 
 OUT_ENV_VAR = "VOCALKIT_OUT"
 
+# RunConfig settings given as one flag each, defaulting to the field default
+_SCALAR_SETTINGS = ("seed", "cos_threshold", "prominence_cutoff", "folds", "per_class_quota")
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -29,38 +35,32 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, need_out=True):
+    defaults = {f.name: f.default for f in fields(RunConfig)}
+
+    def add_common(p):
         p.add_argument("--manifest", required=True, help="manifest JSON-lines file")
-        if need_out:
-            p.add_argument(
-                "--out",
-                default=os.environ.get(OUT_ENV_VAR, "out"),
-                help=f"output directory (default: ${OUT_ENV_VAR} or ./out)",
-            )
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument(
+            "--out",
+            default=os.environ.get(OUT_ENV_VAR, "out"),
+            help=f"output directory (default: ${OUT_ENV_VAR} or ./out)",
+        )
         p.add_argument(
             "--feature-set",
             action="append",
             dest="feature_sets",
-            choices=["filterbank24", "mfcc13", "plp13", "gemaps_lite"],
+            choices=list(FEATURE_SET_DIMS),
             help="repeatable; defaults to all four sets",
         )
         p.add_argument(
             "--family",
             action="append",
             dest="families",
-            choices=[
-                "gradient_boosted_trees",
-                "k_nearest_neighbors",
-                "logistic_regression",
-                "random_forest",
-            ],
+            choices=list(FAMILIES),
             help="repeatable; defaults to all four families",
         )
-        p.add_argument("--cos-threshold", type=float, default=0.95)
-        p.add_argument("--prominence-cutoff", type=float, default=0.04)
-        p.add_argument("--folds", type=int, default=5)
-        p.add_argument("--per-class-quota", type=int, default=500)
+        for name in _SCALAR_SETTINGS:
+            default = defaults[name]
+            p.add_argument(f"--{name.replace('_', '-')}", type=type(default), default=default)
 
     stats = sub.add_parser("stats", help="corpus statistics report")
     stats.add_argument("--manifest", required=True)
@@ -80,21 +80,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _run_config(args) -> RunConfig:
-    kwargs = {}
+    kwargs = {name: getattr(args, name) for name in _SCALAR_SETTINGS}
     if args.feature_sets:
         kwargs["feature_sets"] = tuple(args.feature_sets)
     if args.families:
         kwargs["families"] = tuple(args.families)
-    return RunConfig(
-        manifest_path=args.manifest,
-        out_dir=args.out,
-        seed=args.seed,
-        cos_threshold=args.cos_threshold,
-        prominence_cutoff=args.prominence_cutoff,
-        folds=args.folds,
-        per_class_quota=args.per_class_quota,
-        **kwargs,
-    )
+    return RunConfig(manifest_path=args.manifest, out_dir=args.out, **kwargs)
 
 
 def main(argv=None) -> int:

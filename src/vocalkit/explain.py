@@ -23,8 +23,6 @@ PROMINENCE_CUTOFF = 0.04
 SHAP_BACKGROUND_SIZE = 32  # background rows drawn by mean_abs_shap
 SIGNIFICANCE_ALPHA = 0.05
 
-DIM_TYPES = ("Energy", "Frequency", "Temporal", "Spectral")
-
 # fixed name -> type assignments for the prominent handcrafted dimensions
 _EXPLICIT_DIM_TYPES = {
     "loudness_sma3_amean": "Energy",

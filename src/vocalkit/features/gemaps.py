@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.signal import find_peaks
 
-from ..audio import AudioClip, power_spectrogram, runs
+from ..audio import AudioClip, runs
 from .pitch import F0_REF_HZ, f0_contour, loudness_contour
 from .vector import FeatureError, FeatureVector
 
@@ -142,7 +142,7 @@ def gemaps_lite(clip: AudioClip, clip_id: str = "") -> FeatureVector:
     """
     if clip.duration_s < 0.1:
         raise FeatureError(f"clip too short for gemaps_lite: {clip.duration_s:.3f}s")
-    spec = power_spectrogram(clip)
+    spec = clip.spectrogram
     loud = loudness_contour(clip)
     pitch = f0_contour(clip)
     dt = loud.frame_hop_s

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .audio import CANONICAL_RATE, load_audio, power_spectrogram, resample
+from .audio import CANONICAL_RATE, AudioError, load_audio, resample
 from .classify import FAMILIES, accuracy_grid, train, write_grid_csv
 from .explain import (
     correlate_pairs,
@@ -27,19 +27,13 @@ from .explain import (
     write_attribution_csv,
     write_correlation_csv,
 )
-from .features import (
-    gemaps_lite,
-    mel_filterbank,
-    mfcc,
-    plp,
-    read_feature_csv,
-    write_feature_csv,
-)
+from .features import clip_vector, read_feature_csv, write_feature_csv
 from .manifest import Manifest, corpus_stats, load_manifest
 from .pairing import ClipPair, PairClass, build_pairs, pair_dataset
 from .segmentation import DetectorSource, SegmentationConfig, extract_words
 from .syllables import (
     OscillatorConfig,
+    SyllableError,
     detect_syllables,
     speed_report,
     write_nuclei_jsonl,
@@ -51,7 +45,7 @@ STAGES = ("segment", "extract", "pair", "train", "explain", "speed", "report")
 STAGE_DEPS = {
     "segment": (),
     "extract": (),
-    "pair": ("extract",),
+    "pair": (),
     "train": ("extract", "pair"),
     "explain": ("extract",),
     "speed": (),
@@ -184,11 +178,16 @@ def _stage_outputs(cfg: RunConfig, stage: str):
     return table[stage]
 
 
-def _clip_audio(record, rate: int = CANONICAL_RATE):
-    clip = load_audio(record.audio_path, id=record.id)
-    if record.start_s > 0 or record.end_s < clip.duration_s - 1e-6:
-        clip = clip.slice_s(record.start_s, min(record.end_s, clip.duration_s), id=record.id)
-    return resample(clip, rate)
+def _clip_audio(record, stage: str):
+    """The record's span of audio at the canonical rate; a file that cannot be
+    decoded fails the stage with the clip's id and path."""
+    try:
+        clip = load_audio(record.audio_path, id=record.id)
+        if record.start_s > 0 or record.end_s < clip.duration_s - 1e-6:
+            clip = clip.slice_s(record.start_s, min(record.end_s, clip.duration_s), id=record.id)
+        return resample(clip, CANONICAL_RATE)
+    except (AudioError, OSError) as exc:
+        raise StageError(stage, f"clip {record.id} ({record.audio_path}): {exc}") from exc
 
 
 def run_segment(cfg: RunConfig, manifest: Manifest) -> None:
@@ -196,7 +195,7 @@ def run_segment(cfg: RunConfig, manifest: Manifest) -> None:
     out_path = os.path.join(cfg.out_dir, "segments.jsonl")
     with open(out_path, "w") as fh:
         for rec in sorted(manifest.clips, key=lambda r: r.id):
-            clip = _clip_audio(rec)
+            clip = _clip_audio(rec, "segment")
             ann = rec.audio_path + ".events.json"
             if os.path.isfile(ann):
                 source = DetectorSource("external_annotations", {"annotation_path": ann})
@@ -219,35 +218,13 @@ def run_segment(cfg: RunConfig, manifest: Manifest) -> None:
             )
 
 
-_SPECTRAL_SETS = {"filterbank24": mel_filterbank, "mfcc13": mfcc, "plp13": plp}
-
-
-def extract_features_for_clip(clip, clip_id: str, set_id: str):
-    return next(_clip_vectors(clip, clip_id, (set_id,)))
-
-
-def _clip_vectors(clip, clip_id: str, set_ids):
-    """Yield one feature vector of the clip per set, in order; the spectral
-    sets share one power spectrogram."""
-    spec = None
-    for set_id in set_ids:
-        if set_id == "gemaps_lite":
-            yield gemaps_lite(clip, clip_id)
-        elif set_id in _SPECTRAL_SETS:
-            if spec is None:
-                spec = power_spectrogram(clip)
-            yield _SPECTRAL_SETS[set_id](spec, clip_id)
-        else:
-            raise ValueError(f"unknown feature set {set_id!r}")
-
-
 def run_extract(cfg: RunConfig, manifest: Manifest) -> None:
     vectors = {s: [] for s in cfg.feature_sets}
     for rec in sorted(manifest.clips, key=lambda r: r.id):
-        produced = _clip_vectors(_clip_audio(rec), rec.id, cfg.feature_sets)
+        clip = _clip_audio(rec, "extract")
         for set_id in cfg.feature_sets:
             try:
-                vectors[set_id].append(next(produced))
+                vectors[set_id].append(clip_vector(clip, set_id, rec.id))
             except Exception as exc:
                 raise StageError("extract", f"clip {rec.id} ({set_id}): {exc}")
     for set_id, vecs in vectors.items():
@@ -350,8 +327,11 @@ def run_speed(cfg: RunConfig, manifest: Manifest) -> None:
             rate = rec.syllable_count / rec.duration_s
             rates.setdefault(group, []).append(rate)
             continue
-        clip = _clip_audio(rec)
-        units = detect_syllables(clip, osc_cfg)
+        clip = _clip_audio(rec, "speed")
+        try:
+            units = detect_syllables(clip, osc_cfg)
+        except (AudioError, SyllableError) as exc:
+            raise StageError("speed", f"clip {rec.id}: {exc}")
         units_by_clip[rec.id] = units
         rates.setdefault(group, []).append(units.rate_per_s)
     rows = speed_report(rates)

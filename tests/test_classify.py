@@ -17,7 +17,6 @@ from vocalkit.classify.models import (
     lr_loss_grad,
     predict,
     predict_proba,
-    softmax_cross_entropy,
     train,
 )
 from vocalkit.classify.trees import (
@@ -28,6 +27,12 @@ from vocalkit.classify.trees import (
     grow_newton_tree,
     sort_columns,
 )
+
+
+def softmax_cross_entropy(scores, y):
+    """Mean cross-entropy of softmax(scores) against integer labels y."""
+    p = models._softmax(scores)
+    return float(-np.mean(np.log(np.maximum(p[np.arange(len(y)), y], 1e-300))))
 
 
 def predict_row_slow(tree, row):
@@ -72,7 +77,7 @@ def best_split_newton_reference(Xn, gn, hn, lam):
 
 def grow_newton_tree_reference(X, grad, hess, max_depth, lam=1.0):
     """The per-node argsort builder grow_newton_tree replaced."""
-    b = _Builder(value_dim=1)
+    b = _Builder()
 
     def build(idx, depth):
         g, h = grad[idx], hess[idx]

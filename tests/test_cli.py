@@ -1,3 +1,4 @@
+import dataclasses
 import importlib.metadata
 import json
 import os
@@ -8,7 +9,11 @@ from pathlib import Path
 
 import pytest
 
-from vocalkit.cli import EXIT_OK, EXIT_STAGE, EXIT_VALIDATION, main
+from vocalkit.classify import FAMILIES
+from vocalkit.cli import EXIT_OK, EXIT_STAGE, EXIT_VALIDATION, _build_parser, main
+from vocalkit.features import FEATURE_SET_DIMS
+from vocalkit.manifest import load_manifest
+from vocalkit.pipeline import RunConfig
 from vocalkit.synth import SynthGroup, SynthSpec, generate
 
 # The checkout root, found from this file: an installed vocalkit lives in
@@ -89,6 +94,41 @@ class TestStages:
         out = str(tmp_path / "out")
         assert main(["speed", "--manifest", str(bad), "--out", out]) == EXIT_VALIDATION
         assert "version" in capsys.readouterr().err
+
+
+class TestDecodeErrors:
+    @pytest.fixture
+    def truncated(self, corpus, tmp_path):
+        """A copy of the corpus whose first clip's WAV is cut off mid-header."""
+        copy = tmp_path / "corpus"
+        shutil.copytree(os.path.dirname(corpus), copy)
+        manifest = str(copy / os.path.basename(corpus))
+        clip = load_manifest(manifest).clips[0]
+        Path(clip.audio_path).write_bytes(Path(clip.audio_path).read_bytes()[:30])
+        return manifest, clip.id
+
+    @pytest.mark.parametrize("stage", ["segment", "extract", "speed"])
+    def test_truncated_wav_fails_the_stage_naming_the_clip(
+        self, truncated, tmp_path, capsys, stage
+    ):
+        manifest, clip_id = truncated
+        out = str(tmp_path / "out")
+        assert main([stage, "--manifest", manifest, "--out", out]) == EXIT_STAGE
+        err = capsys.readouterr().err
+        assert f"stage {stage}" in err and f"clip {clip_id} (" in err
+
+
+def test_parser_values_come_from_their_sources():
+    settings = {f.name: f.default for f in dataclasses.fields(RunConfig)}
+    for command in ("extract", "pipeline"):
+        args = _build_parser().parse_args([command, "--manifest", "m"])
+        for name in ("seed", "cos_threshold", "prominence_cutoff", "folds", "per_class_quota"):
+            assert getattr(args, name) == settings[name]
+            assert type(getattr(args, name)) is type(settings[name])
+    sub = next(a for a in _build_parser()._actions if a.dest == "command")
+    actions = {a.dest: a for a in sub.choices["extract"]._actions}
+    assert actions["feature_sets"].choices == list(FEATURE_SET_DIMS)
+    assert actions["families"].choices == list(FAMILIES)
 
 
 # Runs an entry point the way the script an installer generates for it does.

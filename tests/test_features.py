@@ -17,6 +17,7 @@ from vocalkit.features import (
     FEATURE_SET_DIMS,
     FeatureError,
     FeatureVector,
+    clip_vector,
     compare_feature_set,
     gemaps_lite,
     mel_filterbank,
@@ -577,6 +578,27 @@ def test_frame_features_raise_no_warnings(case):
             plp(power_spectrogram(clip))
         with contextlib.suppress(FeatureError):
             gemaps_lite(clip)
+
+
+class TestClipVector:
+    def test_matches_the_set_functions(self):
+        clip = harmonic_tone(300)
+        spec = power_spectrogram(clip)
+        for set_id, fn in (("filterbank24", mel_filterbank), ("mfcc13", mfcc), ("plp13", plp)):
+            got = clip_vector(clip, set_id, "c")
+            assert (got.set_id, got.clip_id) == (set_id, "c")
+            assert got.values.tobytes() == fn(spec, "c").values.tobytes()
+        got = clip_vector(clip, "gemaps_lite", "c")
+        assert got.values.tobytes() == gemaps_lite(harmonic_tone(300), "c").values.tobytes()
+
+    def test_clip_spectrogram_is_computed_once(self):
+        clip = noise_clip(seed=4)
+        assert clip.spectrogram is clip.spectrogram
+        assert clip.spectrogram.frames.tobytes() == power_spectrogram(clip).frames.tobytes()
+
+    def test_unknown_set(self):
+        with pytest.raises(FeatureError, match="unknown feature set"):
+            clip_vector(tone(300), "mfcc99")
 
 
 class TestFeatureStore:

@@ -1,12 +1,15 @@
-"""Source hygiene: no module under src/ imports a name it never uses."""
+"""Source hygiene: no module under src/ imports a name it never uses, and
+every name a demo imports from vocalkit exists."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "vocalkit"
 MODULES = sorted(SRC.rglob("*.py"))
+DEMOS = sorted((SRC.parent.parent / "demos").glob("*.py"))
 
 
 def _imported_names(tree: ast.Module) -> dict:
@@ -65,3 +68,21 @@ def test_no_unused_imports(path):
         name: line for name, line in _imported_names(tree).items() if name not in used
     }
     assert not unused, f"{path.relative_to(SRC)}: unused imports {unused}"
+
+
+def test_demos_found():
+    assert len(DEMOS) >= 5
+
+
+@pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.name)
+def test_demo_imports_resolve(path):
+    """Checked without running the demos, which take seconds each."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    missing = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "vocalkit":
+            module = importlib.import_module(node.module)
+            missing += [
+                f"{node.module}.{a.name}" for a in node.names if not hasattr(module, a.name)
+            ]
+    assert not missing, f"{path.name}: unresolved imports {missing}"

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from vocalkit import pipeline
+from vocalkit import audio, pipeline
 from vocalkit.manifest import Manifest, load_manifest
 from vocalkit.pipeline import (
     STAGE_DEPS,
@@ -80,6 +80,16 @@ class TestStageGraph:
             run_stages(cfg, ["train"])
         assert "extract" in str(exc.value) or "pair" in str(exc.value)
 
+    def test_pair_runs_alone_on_a_fresh_out_dir(self, full_run, corpus, tmp_path):
+        # pair reads only the manifest and its activity vectors
+        cfg = make_cfg(corpus, tmp_path / "o")
+        run_stages(cfg, ["pair"])
+        assert sorted(os.listdir(cfg.out_dir)) == ["ledger.json", "pairs.csv"]
+        full_cfg, _ = full_run
+        assert Path(cfg.out_dir, "pairs.csv").read_bytes() == Path(
+            full_cfg.out_dir, "pairs.csv"
+        ).read_bytes()
+
 
 class TestFullRun:
     def test_all_outputs_exist(self, full_run):
@@ -127,16 +137,18 @@ class TestFullRun:
 
     def test_extract_computes_one_spectrogram_per_clip(self, corpus, tmp_path, monkeypatch):
         calls = []
-        real = pipeline.power_spectrogram
+        real = audio.power_spectrogram
 
         def counting(clip):
-            calls.append(clip)
+            calls.append(clip.id)
             return real(clip)
 
-        monkeypatch.setattr(pipeline, "power_spectrogram", counting)
-        cfg = make_cfg(corpus, tmp_path, feature_sets=("filterbank24", "mfcc13", "plp13"))
+        monkeypatch.setattr(audio, "power_spectrogram", counting)
+        cfg = make_cfg(
+            corpus, tmp_path, feature_sets=("filterbank24", "mfcc13", "plp13", "gemaps_lite")
+        )
         run_stages(cfg, ["extract"])
-        assert len(calls) == len(load_manifest(corpus[0]).clips)
+        assert sorted(calls) == sorted(c.id for c in load_manifest(corpus[0]).clips)
 
     def test_pairs_csv(self, full_run):
         cfg, _ = full_run
@@ -351,6 +363,16 @@ class TestLedgerContent:
         vec[::-1].tofile(blob)
         run_stages(copied)
         assert ran == ["pair"]
+
+
+def test_oscillator_error_names_the_clip(corpus, tmp_path):
+    # an envelope rate under 4x the natural frequency fails inside detect_syllables
+    manifest = dataclasses.replace(
+        load_manifest(corpus[0]), defaults={"oscillator": {"natural_freq_hz": 40.0}}
+    )
+    first = min(c.id for c in manifest.clips if c.syllable_count is None)
+    with pytest.raises(StageError, match=f"stage speed: clip {first}: envelope rate"):
+        run_speed(make_cfg(corpus, tmp_path), manifest)
 
 
 class TestSyllableCountOverride:
