@@ -7,6 +7,7 @@ functions are pure; the same input bytes always produce the same output.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -101,7 +102,12 @@ def load_audio(path, id: str = "") -> AudioClip:
     [-1, 1].  The clip keeps the file's native sample rate.
     """
     try:
-        rate, data = wavfile.read(path)
+        with warnings.catch_warnings():
+            # a data chunk cut short only warns, and the clip would be silently short
+            warnings.filterwarnings(
+                "error", "Reached EOF prematurely", wavfile.WavFileWarning
+            )
+            rate, data = wavfile.read(path)
     except FileNotFoundError:
         raise
     except Exception as exc:

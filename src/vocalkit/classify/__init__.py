@@ -13,6 +13,7 @@ from .cv import (
     accuracy_grid,
     cross_validate,
     make_folds,
+    write_cv_reports,
     write_grid_csv,
 )
 from .trees import Tree, grow_gini_tree, grow_newton_tree
@@ -30,6 +31,7 @@ __all__ = [
     "accuracy_grid",
     "cross_validate",
     "make_folds",
+    "write_cv_reports",
     "write_grid_csv",
     "Tree",
     "grow_gini_tree",

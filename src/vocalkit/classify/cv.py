@@ -1,8 +1,21 @@
-"""Cross-validation harness and the feature-set x family accuracy grid."""
+"""Cross-validation harness and the feature-set x family accuracy grid.
+
+Every (feature set, family, fold) fit of the grid is independent and seeded,
+so ``accuracy_grid`` runs them in forked worker processes, one per CPU in
+this process's affinity mask (``taskset -c 0`` runs the grid in-process).
+Fork, not spawn: a forked worker inherits the imported modules and the
+datasets, where a spawned one would re-import numpy and need the caller's
+script to guard its entry point with ``if __name__ == "__main__"``.  The
+grid is the same, byte for byte, however many workers ran it.
+"""
 
 from __future__ import annotations
 
+import concurrent.futures
 import csv
+import json
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +32,17 @@ class CVReport:
     confusion: np.ndarray  # (K, K) counts, rows = true class
     stratified: bool = True
     error: str = ""
+
+
+@dataclass(frozen=True)
+class _Split:
+    """One dataset with its fold assignment."""
+
+    X: np.ndarray
+    y: np.ndarray
+    n_classes: int
+    assign: np.ndarray
+    stratified: bool
 
 
 def make_folds(y: np.ndarray, folds: int, seed: int):
@@ -49,6 +73,40 @@ def make_folds(y: np.ndarray, folds: int, seed: int):
     return assign, stratified
 
 
+def _split(X, y, folds: int, seed: int) -> _Split:
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=np.int64)
+    n_classes = int(y.max()) + 1
+    assign, stratified = make_folds(y, folds, seed)
+    return _Split(X, y, n_classes, assign, stratified)
+
+
+def _fit_fold(split: _Split, fold: int, family: str, hyper, seed: int) -> np.ndarray:
+    """Train on every other fold; the predicted class of each row of ``fold``."""
+    test = split.assign == fold
+    model = train(family, split.X[~test], split.y[~test], hyper=hyper, seed=seed,
+                  n_classes=split.n_classes)
+    return predict(model, split.X[test])
+
+
+def _report(split: _Split, preds: list, feature_set: str, family: str) -> CVReport:
+    """Per-fold accuracy and pooled confusion from each fold's predictions."""
+    fold_acc = []
+    confusion = np.zeros((split.n_classes, split.n_classes), dtype=np.int64)
+    for fold, pred in enumerate(preds):
+        truth = split.y[split.assign == fold]
+        fold_acc.append(float(np.mean(pred == truth)))
+        np.add.at(confusion, (truth, pred), 1)
+    return CVReport(
+        feature_set=feature_set,
+        family=family,
+        fold_accuracies=fold_acc,
+        mean_accuracy=float(np.mean(fold_acc)),
+        confusion=confusion,
+        stratified=split.stratified,
+    )
+
+
 def cross_validate(
     X: np.ndarray,
     y: np.ndarray,
@@ -59,27 +117,72 @@ def cross_validate(
     feature_set: str = "",
 ) -> CVReport:
     """Seeded k-fold cross-validation; per-fold accuracy and pooled confusion."""
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=np.int64)
-    n_classes = int(y.max()) + 1
-    assign, stratified = make_folds(y, folds, seed)
-    fold_acc = []
-    confusion = np.zeros((n_classes, n_classes), dtype=np.int64)
-    for f in range(folds):
-        test = assign == f
-        model = train(family, X[~test], y[~test], hyper=hyper, seed=seed,
-                      n_classes=n_classes)
-        pred = predict(model, X[test])
-        fold_acc.append(float(np.mean(pred == y[test])))
-        for t, p in zip(y[test], pred):
-            confusion[t, p] += 1
+    split = _split(X, y, folds, seed)
+    preds = [_fit_fold(split, fold, family, hyper, seed) for fold in range(folds)]
+    return _report(split, preds, feature_set, family)
+
+
+def _grid_task(splits: dict, task: tuple) -> tuple:
+    """One fold of one grid cell: (predictions, None) or (None, error message)."""
+    set_id, family, hyper, fold, seed = task
+    try:
+        return _fit_fold(splits[set_id], fold, family, hyper, seed), None
+    except Exception as exc:
+        return None, str(exc)
+
+
+_worker_splits: dict = {}  # the grid's datasets, set by _init_worker in each worker
+
+
+def _init_worker(splits: dict) -> None:
+    global _worker_splits
+    _worker_splits = splits
+
+
+def _worker_task(task: tuple) -> tuple:
+    return _grid_task(_worker_splits, task)
+
+
+def _pool_size(n_tasks: int) -> int:
+    """One worker per usable CPU, at most one per task.  1 where fork is
+    unavailable, or unsafe because another thread might hold a lock."""
+    if (
+        not hasattr(os, "fork")
+        or not hasattr(os, "sched_getaffinity")
+        or threading.active_count() > 1
+    ):
+        return 1
+    return min(len(os.sched_getaffinity(0)), n_tasks)
+
+
+def _run_tasks(splits: dict, tasks: list) -> list:
+    """Each task's outcome, in task order.  A worker that dies raises
+    BrokenProcessPool; the pool is shut down and joined either way."""
+    workers = _pool_size(len(tasks))
+    if workers < 2:
+        return [_grid_task(splits, task) for task in tasks]
+    # multiprocessing and concurrent.futures.process load only when a pool
+    # starts, so that a run which trains nothing does not hold them in memory
+    import multiprocessing
+
+    pool = concurrent.futures.ProcessPoolExecutor(
+        workers, mp_context=multiprocessing.get_context("fork"),
+        initializer=_init_worker, initargs=(splits,),
+    )
+    try:
+        return list(pool.map(_worker_task, tasks))
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
+
+
+def _error_report(feature_set: str, family: str, error: str) -> CVReport:
     return CVReport(
         feature_set=feature_set,
         family=family,
-        fold_accuracies=fold_acc,
-        mean_accuracy=float(np.mean(fold_acc)),
-        confusion=confusion,
-        stratified=stratified,
+        fold_accuracies=[],
+        mean_accuracy=float("nan"),
+        confusion=np.zeros((0, 0), dtype=np.int64),
+        error=error,
     )
 
 
@@ -93,27 +196,34 @@ def accuracy_grid(
     """Full cross-product of feature sets and families.
 
     datasets maps set_id -> (X, y).  Per-cell failures are recorded in the
-    report's error field instead of aborting the grid.
+    report's error field instead of aborting the grid: a dataset that cannot
+    be split into folds fails all its cells, and a cell takes the error of
+    its first failing fold.
     """
-    grid = {}
+    hyper_by_family = hyper_by_family or {}
+    splits, split_errors = {}, {}
     for set_id, (X, y) in datasets.items():
+        try:
+            splits[set_id] = _split(X, y, folds, seed)
+        except Exception as exc:
+            split_errors[set_id] = str(exc)
+    tasks = [
+        (set_id, family, hyper_by_family.get(family), fold, seed)
+        for set_id in splits for family in families for fold in range(folds)
+    ]
+    outcomes = iter(_run_tasks(splits, tasks))
+    grid = {}
+    for set_id in datasets:
         for family in families:
-            hyper = (hyper_by_family or {}).get(family)
-            try:
-                report = cross_validate(
-                    X, y, family, hyper=hyper, folds=folds, seed=seed,
-                    feature_set=set_id,
-                )
-            except Exception as exc:
-                report = CVReport(
-                    feature_set=set_id,
-                    family=family,
-                    fold_accuracies=[],
-                    mean_accuracy=float("nan"),
-                    confusion=np.zeros((0, 0), dtype=np.int64),
-                    error=str(exc),
-                )
-            grid[(set_id, family)] = report
+            if set_id in split_errors:
+                grid[(set_id, family)] = _error_report(set_id, family, split_errors[set_id])
+                continue
+            cell = [next(outcomes) for _ in range(folds)]
+            failed = [error for pred, error in cell if pred is None]
+            grid[(set_id, family)] = (
+                _error_report(set_id, family, failed[0]) if failed
+                else _report(splits[set_id], [pred for pred, _ in cell], set_id, family)
+            )
     return grid
 
 
@@ -134,3 +244,19 @@ def write_grid_csv(path, grid: dict, feature_sets: list, families: list) -> None
                 else:
                     row.append(f"{report.mean_accuracy:.4f}")
             writer.writerow(row)
+
+
+def write_cv_reports(path, grid: dict) -> None:
+    """Every cell's report as JSON keyed "<feature set>/<family>", rounded to
+    6 decimals."""
+    reports = {}
+    for (set_id, family), rep in grid.items():
+        reports[f"{set_id}/{family}"] = {
+            "fold_accuracies": [round(a, 6) for a in rep.fold_accuracies],
+            "mean_accuracy": None if np.isnan(rep.mean_accuracy) else round(rep.mean_accuracy, 6),
+            "confusion": rep.confusion.tolist(),
+            "stratified": rep.stratified,
+            "error": rep.error,
+        }
+    with open(path, "w") as fh:
+        json.dump(reports, fh, indent=1, sort_keys=True)

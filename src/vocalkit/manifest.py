@@ -15,8 +15,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .pairing import ACTIVITY_DIM, Context, ClipRecord, PairingError, SCENES
+from .segmentation import SegmentationConfig, SegmentationError
+from .syllables import OscillatorConfig, SyllableError
 
 SUPPORTED_VERSIONS = (1,)
+# header "defaults" sections and the settings each one holds
+_DEFAULT_SECTIONS = {"segmentation": SegmentationConfig, "oscillator": OscillatorConfig}
 
 
 class ManifestError(Exception):
@@ -74,6 +78,14 @@ def load_manifest(path) -> Manifest:
         errors.append(f"{path}:1: unsupported manifest version {version!r}")
     declared_locations = header.get("declared_locations", [])
     defaults = header.get("defaults", {})
+    if not isinstance(defaults, dict):
+        errors.append(f"{path}:1: defaults must be an object")
+        defaults = {}
+    for section, config in _DEFAULT_SECTIONS.items():
+        try:
+            config(**defaults.get(section, {}))
+        except (TypeError, ValueError, SegmentationError, SyllableError) as exc:
+            errors.append(f"{path}:1: defaults.{section}: {exc}")
 
     clips = []
     blobs: list[str] = []

@@ -15,12 +15,13 @@ import hashlib
 import json
 import os
 import shutil
+from concurrent.futures import BrokenExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .audio import CANONICAL_RATE, AudioError, load_audio, resample
-from .classify import FAMILIES, accuracy_grid, train, write_grid_csv
+from .classify import FAMILIES, accuracy_grid, train, write_cv_reports, write_grid_csv
 from .explain import (
     correlate_pairs,
     mean_abs_shap,
@@ -262,24 +263,17 @@ def run_train(cfg: RunConfig, manifest: Manifest) -> None:
         )
         X, y, _, _ = pair_dataset(pairs, features, set_id)
         datasets[set_id] = (X, y)
-    grid = accuracy_grid(
-        datasets, list(cfg.families), folds=cfg.folds, seed=cfg.stage_seed("train")
-    )
+    try:
+        grid = accuracy_grid(
+            datasets, list(cfg.families), folds=cfg.folds, seed=cfg.stage_seed("train")
+        )
+    except BrokenExecutor as exc:  # BrokenProcessPool: a worker process died
+        raise StageError("train", f"a cross-validation worker process died: {exc}") from exc
     write_grid_csv(
         os.path.join(cfg.out_dir, "grid.csv"), grid, list(cfg.feature_sets),
         list(cfg.families),
     )
-    reports = {}
-    for (set_id, family), rep in grid.items():
-        reports[f"{set_id}/{family}"] = {
-            "fold_accuracies": [round(a, 6) for a in rep.fold_accuracies],
-            "mean_accuracy": None if np.isnan(rep.mean_accuracy) else round(rep.mean_accuracy, 6),
-            "confusion": rep.confusion.tolist(),
-            "stratified": rep.stratified,
-            "error": rep.error,
-        }
-    with open(os.path.join(cfg.out_dir, "cv_reports.json"), "w") as fh:
-        json.dump(reports, fh, indent=1, sort_keys=True)
+    write_cv_reports(os.path.join(cfg.out_dir, "cv_reports.json"), grid)
 
 
 def run_explain(cfg: RunConfig, manifest: Manifest) -> None:

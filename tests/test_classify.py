@@ -1,3 +1,10 @@
+import concurrent.futures
+import multiprocessing
+import os
+import signal
+import threading
+from concurrent.futures.process import BrokenProcessPool
+
 import numpy as np
 import pytest
 import scipy.optimize
@@ -7,9 +14,10 @@ from vocalkit.classify.cv import (
     accuracy_grid,
     cross_validate,
     make_folds,
+    write_cv_reports,
     write_grid_csv,
 )
-from vocalkit.classify import models
+from vocalkit.classify import cv, models
 from vocalkit.classify.models import (
     DEFAULT_HYPER,
     FAMILIES,
@@ -601,3 +609,152 @@ class TestGrid:
         assert lines[1].startswith("setA,")
         assert float(cell) > 0.9 and len(cell.split(".")[1]) == 4
         assert lines[2] == "tiny,ERR"
+
+
+def usable_cpus(monkeypatch, n):
+    """Make the process's CPU affinity mask hold n CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def count_pools(monkeypatch):
+    """Record the worker count of every pool accuracy_grid creates."""
+    created = []
+    real = concurrent.futures.ProcessPoolExecutor
+
+    def pool(max_workers, **kwargs):
+        created.append(max_workers)
+        return real(max_workers, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", pool)
+    return created
+
+
+def fail_in_worker(parent_pid, fail):
+    """A stand-in for models.train that calls fail() in a worker process."""
+    def train(*args, **kwargs):
+        assert os.getpid() != parent_pid, "a grid fit ran in the parent process"
+        fail()
+
+    return train
+
+
+class TestParallelGrid:
+    FAMILIES = list(FAMILIES)
+    FOLDS = 5
+    # k above every fold's training size (38 or 39 rows): a different error
+    # message in different folds
+    HYPER = {
+        "gradient_boosted_trees": {"n_rounds": 4},
+        "random_forest": {"n_trees": 4},
+        "k_nearest_neighbors": {"k": 40},
+    }
+
+    @staticmethod
+    def datasets():
+        X, y = blobs(n_per_class=16, spread=2.5, seed=23)
+        return {"setA": (X, y), "tiny": (X[:3], y[:3])}
+
+    def grid(self):
+        return accuracy_grid(
+            self.datasets(), self.FAMILIES, folds=self.FOLDS, seed=7,
+            hyper_by_family=self.HYPER,
+        )
+
+    def written(self, grid, out):
+        out.mkdir()
+        write_grid_csv(out / "grid.csv", grid, list(self.datasets()), self.FAMILIES)
+        write_cv_reports(out / "cv_reports.json", grid)
+        return (out / "grid.csv").read_bytes(), (out / "cv_reports.json").read_bytes()
+
+    def test_pooled_grid_equals_in_process_grid(self, monkeypatch, tmp_path):
+        created = count_pools(monkeypatch)
+        usable_cpus(monkeypatch, 2)
+        pooled = self.grid()
+        assert created == [2]
+        assert multiprocessing.active_children() == []
+        usable_cpus(monkeypatch, 1)
+        in_process = self.grid()
+        assert created == [2]
+        assert self.written(pooled, tmp_path / "pooled") == self.written(
+            in_process, tmp_path / "in_process"
+        )
+        X, y = self.datasets()["setA"]
+        for family in self.FAMILIES:
+            a, b = pooled[("setA", family)], in_process[("setA", family)]
+            assert a.fold_accuracies == b.fold_accuracies
+            assert np.array_equal(a.confusion, b.confusion)
+            assert a.error == b.error
+            if family != "k_nearest_neighbors":
+                ref = cross_validate(
+                    X, y, family, hyper=self.HYPER.get(family), folds=self.FOLDS,
+                    seed=7, feature_set="setA",
+                )
+                assert not a.error and a.fold_accuracies == ref.fold_accuracies
+                assert np.array_equal(a.confusion, ref.confusion)
+        for family in self.FAMILIES:
+            assert pooled[("tiny", family)].error == "n=3 smaller than folds=5"
+            assert in_process[("tiny", family)].error == "n=3 smaller than folds=5"
+
+    def test_cell_error_is_that_of_its_first_failing_fold(self, monkeypatch):
+        usable_cpus(monkeypatch, 2)
+        X, y = self.datasets()["setA"]
+        assign, _ = make_folds(y, self.FOLDS, seed=7)
+        n_train = [int(np.sum(assign != f)) for f in range(self.FOLDS)]
+        failing = [n for n in n_train if n < self.HYPER["k_nearest_neighbors"]["k"]]
+        assert len(set(failing)) > 1 and failing[0] != failing[-1]
+        expected = f"k=40 exceeds n={failing[0]}"
+        assert self.grid()[("setA", "k_nearest_neighbors")].error == expected
+        with pytest.raises(ClassifyError, match=expected):
+            cross_validate(X, y, "k_nearest_neighbors", hyper=self.HYPER[
+                "k_nearest_neighbors"], folds=self.FOLDS, seed=7)
+
+    def test_one_usable_cpu_creates_no_pool(self, monkeypatch):
+        usable_cpus(monkeypatch, 1)
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a pool was created with one usable CPU")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        grid = self.grid()
+        assert grid[("setA", "logistic_regression")].mean_accuracy > 0.25
+
+    def test_another_thread_creates_no_pool(self, monkeypatch):
+        usable_cpus(monkeypatch, 2)
+        created = count_pools(monkeypatch)
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        thread.start()
+        try:
+            self.grid()
+        finally:
+            release.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert created == []
+
+    def test_pool_is_never_larger_than_the_task_count(self, monkeypatch):
+        created = count_pools(monkeypatch)
+        usable_cpus(monkeypatch, 64)
+        X, y = self.datasets()["setA"]
+        accuracy_grid({"setA": (X, y)}, ["logistic_regression"], folds=3, seed=0)
+        assert created == [3]
+
+    def test_no_worker_left_after_a_worker_raised(self, monkeypatch):
+        usable_cpus(monkeypatch, 2)
+
+        def fail():
+            raise ClassifyError("fit failed in a worker")
+
+        monkeypatch.setattr(cv, "train", fail_in_worker(os.getpid(), fail))
+        grid = self.grid()
+        assert all(grid[("setA", f)].error == "fit failed in a worker" for f in self.FAMILIES)
+        assert multiprocessing.active_children() == []
+
+    def test_a_killed_worker_breaks_the_grid(self, monkeypatch):
+        usable_cpus(monkeypatch, 2)
+        monkeypatch.setattr(cv, "train", fail_in_worker(
+            os.getpid(), lambda: os.kill(os.getpid(), signal.SIGKILL)
+        ))
+        with pytest.raises(BrokenProcessPool):
+            self.grid()
+        assert multiprocessing.active_children() == []

@@ -96,26 +96,91 @@ class TestStages:
         assert "version" in capsys.readouterr().err
 
 
+def _corpus_copy(corpus, tmp_path):
+    copy = tmp_path / "corpus"
+    shutil.copytree(os.path.dirname(corpus), copy)
+    return str(copy / os.path.basename(corpus))
+
+
 class TestDecodeErrors:
+    @staticmethod
+    def _cut_first_clip(corpus, tmp_path, keep):
+        """A copy of the corpus whose first clip's WAV keeps keep(size) bytes."""
+        manifest = _corpus_copy(corpus, tmp_path)
+        clip = load_manifest(manifest).clips[0]
+        data = Path(clip.audio_path).read_bytes()
+        Path(clip.audio_path).write_bytes(data[:keep(len(data))])
+        return manifest, clip.id
+
     @pytest.fixture
     def truncated(self, corpus, tmp_path):
-        """A copy of the corpus whose first clip's WAV is cut off mid-header."""
-        copy = tmp_path / "corpus"
-        shutil.copytree(os.path.dirname(corpus), copy)
-        manifest = str(copy / os.path.basename(corpus))
-        clip = load_manifest(manifest).clips[0]
-        Path(clip.audio_path).write_bytes(Path(clip.audio_path).read_bytes()[:30])
-        return manifest, clip.id
+        """Cut off mid-header."""
+        return self._cut_first_clip(corpus, tmp_path, lambda size: 30)
+
+    @pytest.fixture
+    def half_cut(self, corpus, tmp_path):
+        """A whole header whose data chunk holds half the samples it declares."""
+        return self._cut_first_clip(corpus, tmp_path, lambda size: size // 2)
+
+    @staticmethod
+    def _assert_stage_fails_naming_clip(cut, tmp_path, capsys, stage):
+        manifest, clip_id = cut
+        out = str(tmp_path / "out")
+        assert main([stage, "--manifest", manifest, "--out", out]) == EXIT_STAGE
+        err = capsys.readouterr().err
+        assert f"stage {stage}" in err and f"clip {clip_id} (" in err
+        return err
 
     @pytest.mark.parametrize("stage", ["segment", "extract", "speed"])
     def test_truncated_wav_fails_the_stage_naming_the_clip(
         self, truncated, tmp_path, capsys, stage
     ):
-        manifest, clip_id = truncated
+        self._assert_stage_fails_naming_clip(truncated, tmp_path, capsys, stage)
+
+    @pytest.mark.parametrize("stage", ["segment", "extract", "speed"])
+    def test_half_cut_wav_fails_the_stage_naming_the_clip(
+        self, half_cut, tmp_path, capsys, stage
+    ):
+        err = self._assert_stage_fails_naming_clip(half_cut, tmp_path, capsys, stage)
+        assert "Reached EOF prematurely" in err
+
+
+class TestManifestDefaults:
+    @staticmethod
+    def _with_defaults(corpus, tmp_path, defaults):
+        manifest = _corpus_copy(corpus, tmp_path)
+        lines = Path(manifest).read_text().splitlines(keepends=True)
+        header = json.loads(lines[0])
+        header["defaults"] = defaults
+        lines[0] = json.dumps(header) + "\n"
+        Path(manifest).write_text("".join(lines))
+        return manifest
+
+    @pytest.mark.parametrize(
+        "section, values, stage, message",
+        [
+            ("oscillator", {"damping_ratio": 2.0}, "speed", "damping_ratio must lie in (0, 1)"),
+            ("segmentation", {"silence_floor_db": 3.0}, "segment", "silence_floor_db"),
+            ("oscillator", {"dampng_ratio": 0.3}, "speed", "dampng_ratio"),
+            ("segmentation", {"min_gap": 0.1}, "segment", "min_gap"),
+        ],
+    )
+    def test_bad_defaults_exit_1_naming_the_section(
+        self, corpus, tmp_path, capsys, section, values, stage, message
+    ):
+        manifest = self._with_defaults(corpus, tmp_path, {section: values})
         out = str(tmp_path / "out")
-        assert main([stage, "--manifest", manifest, "--out", out]) == EXIT_STAGE
+        assert main([stage, "--manifest", manifest, "--out", out]) == EXIT_VALIDATION
         err = capsys.readouterr().err
-        assert f"stage {stage}" in err and f"clip {clip_id} (" in err
+        assert f"defaults.{section}: " in err and message in err
+        assert "Traceback" not in err
+        assert not os.path.exists(out)
+
+    def test_valid_defaults_are_used(self, corpus, tmp_path):
+        manifest = self._with_defaults(
+            corpus, tmp_path, {"oscillator": {"damping_ratio": 0.5}}
+        )
+        assert main(["speed", "--manifest", manifest, "--out", str(tmp_path / "out")]) == EXIT_OK
 
 
 def test_parser_values_come_from_their_sources():

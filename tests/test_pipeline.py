@@ -1,13 +1,16 @@
 import dataclasses
 import json
+import multiprocessing
 import os
 import shutil
+import signal
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from vocalkit import audio, pipeline
+from vocalkit.classify import cv
 from vocalkit.manifest import Manifest, load_manifest
 from vocalkit.pipeline import (
     STAGE_DEPS,
@@ -363,6 +366,25 @@ class TestLedgerContent:
         vec[::-1].tofile(blob)
         run_stages(copied)
         assert ran == ["pair"]
+
+
+def test_a_killed_cv_worker_fails_the_train_stage(full_run, tmp_path, monkeypatch):
+    cfg, _ = full_run
+    out = tmp_path / "out"
+    shutil.copytree(cfg.out_dir, out)
+    os.remove(out / "grid.csv")  # so the ledger re-runs train
+    parent = os.getpid()
+
+    def die_in_worker(*args, **kwargs):
+        assert os.getpid() != parent, "a grid fit ran in the parent process"
+        os.kill(os.getpid(), signal.SIGKILL)
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(cv, "train", die_in_worker)
+    with pytest.raises(StageError, match="stage train: a cross-validation worker process died"):
+        run_stages(dataclasses.replace(cfg, out_dir=str(out)), ["train"])
+    assert multiprocessing.active_children() == []
+    assert not (out / "grid.csv").exists()
 
 
 def test_oscillator_error_names_the_clip(corpus, tmp_path):
