@@ -12,14 +12,13 @@ grid is the same, byte for byte, however many workers ran it.
 from __future__ import annotations
 
 import concurrent.futures
-import csv
-import json
 import os
 import threading
 from dataclasses import dataclass
 
 import numpy as np
 
+from ..artifacts import write_csv, write_json
 from .models import ClassifyError, predict, train
 
 
@@ -232,18 +231,14 @@ def write_grid_csv(path, grid: dict, feature_sets: list, families: list) -> None
 
     Cells show mean accuracy to 4 decimals; failed cells are marked ERR.
     """
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["feature_set", *families])
-        for set_id in feature_sets:
-            row = [set_id]
-            for family in families:
-                report = grid.get((set_id, family))
-                if report is None or report.error:
-                    row.append("ERR")
-                else:
-                    row.append(f"{report.mean_accuracy:.4f}")
-            writer.writerow(row)
+    def cell(report):
+        return "ERR" if report is None or report.error else f"{report.mean_accuracy:.4f}"
+
+    write_csv(
+        path,
+        ["feature_set", *families],
+        ([set_id, *(cell(grid.get((set_id, f))) for f in families)] for set_id in feature_sets),
+    )
 
 
 def write_cv_reports(path, grid: dict) -> None:
@@ -258,5 +253,4 @@ def write_cv_reports(path, grid: dict) -> None:
             "stratified": rep.stratified,
             "error": rep.error,
         }
-    with open(path, "w") as fh:
-        json.dump(reports, fh, indent=1, sort_keys=True)
+    write_json(path, reports)

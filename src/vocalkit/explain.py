@@ -9,7 +9,6 @@ seeded random-pairing baseline.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from itertools import combinations
 from math import factorial
@@ -17,6 +16,7 @@ from math import factorial
 import numpy as np
 from scipy.special import betainc
 
+from .artifacts import write_csv
 from .classify import TrainedModel, predict_proba
 
 PROMINENCE_CUTOFF = 0.04
@@ -318,30 +318,18 @@ def correlate_pairs(
 
 
 def write_attribution_csv(path, rows: list[ShapRow]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["feature_name", "dim_type", "mean_abs_shap", "prominent"])
-        for row in rows:
-            writer.writerow(
-                [row.feature_name, row.dim_type, f"{row.mean_abs_shap:.4f}",
-                 str(row.prominent).lower()]
-            )
+    write_csv(
+        path,
+        ["feature_name", "dim_type", "mean_abs_shap", "prominent"],
+        ([row.feature_name, row.dim_type, f"{row.mean_abs_shap:.4f}",
+          str(row.prominent).lower()] for row in rows),
+    )
 
 
 def write_correlation_csv(path, rows: list[PearsonRow]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["feature_name", "r_host", "p_host", "r_random", "p_random", "significant"]
-        )
-        for row in rows:
-            writer.writerow(
-                [
-                    row.feature_name,
-                    f"{row.r_host:.3f}",
-                    f"{row.p_host:.2e}",
-                    f"{row.r_random:.3f}",
-                    f"{row.p_random:.2e}",
-                    str(row.significant).lower(),
-                ]
-            )
+    write_csv(
+        path,
+        ["feature_name", "r_host", "p_host", "r_random", "p_random", "significant"],
+        ([row.feature_name, f"{row.r_host:.3f}", f"{row.p_host:.2e}", f"{row.r_random:.3f}",
+          f"{row.p_random:.2e}", str(row.significant).lower()] for row in rows),
+    )

@@ -6,6 +6,7 @@ import csv
 
 import numpy as np
 
+from ..artifacts import write_csv
 from .vector import FEATURE_SET_DIMS, FeatureError, FeatureVector
 
 
@@ -18,11 +19,9 @@ def write_feature_csv(path, vectors: list[FeatureVector]) -> None:
     for v in vectors:
         if v.set_id != set_id or v.names != names:
             raise FeatureError(f"mixed feature sets in store: {set_id} vs {v.set_id}")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["clip_id", *names])
-        for v in sorted(vectors, key=lambda v: v.clip_id):
-            writer.writerow([v.clip_id, *(repr(float(x)) for x in v.values)])
+    ordered = sorted(vectors, key=lambda v: v.clip_id)
+    rows = ([v.clip_id, *(repr(float(x)) for x in v.values)] for v in ordered)
+    write_csv(path, ["clip_id", *names], rows)
 
 
 def read_feature_csv(path, set_id: str) -> dict[str, FeatureVector]:

@@ -81,6 +81,8 @@ def load_manifest(path) -> Manifest:
     if not isinstance(defaults, dict):
         errors.append(f"{path}:1: defaults must be an object")
         defaults = {}
+    for section in sorted(set(defaults) - set(_DEFAULT_SECTIONS)):
+        errors.append(f"{path}:1: defaults.{section}: unknown section")
     for section, config in _DEFAULT_SECTIONS.items():
         try:
             config(**defaults.get(section, {}))

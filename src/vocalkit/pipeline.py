@@ -14,12 +14,12 @@ import csv
 import hashlib
 import json
 import os
-import shutil
 from concurrent.futures import BrokenExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
+from .artifacts import write_csv, write_file, write_json, write_jsonl
 from .audio import CANONICAL_RATE, AudioError, load_audio, resample
 from .classify import FAMILIES, accuracy_grid, train, write_cv_reports, write_grid_csv
 from .explain import (
@@ -127,16 +127,14 @@ def _config_hash(cfg: RunConfig, stage: str) -> str:
 
 
 def _load_ledger(out_dir) -> dict:
-    path = os.path.join(out_dir, LEDGER_NAME)
-    if os.path.isfile(path):
-        with open(path) as fh:
-            return json.load(fh)
-    return {}
-
-
-def _save_ledger(out_dir, ledger: dict) -> None:
-    with open(os.path.join(out_dir, LEDGER_NAME), "w") as fh:
-        json.dump(ledger, fh, indent=1, sort_keys=True)
+    """The run ledger.  It is a cache: one that is missing or not a JSON
+    object reads as empty, so every requested stage re-runs."""
+    try:
+        with open(os.path.join(out_dir, LEDGER_NAME)) as fh:
+            ledger = json.load(fh)
+    except (FileNotFoundError, ValueError):  # JSONDecodeError, UnicodeDecodeError
+        return {}
+    return ledger if isinstance(ledger, dict) else {}
 
 
 def _stage_inputs(cfg: RunConfig, manifest: Manifest, stage: str):
@@ -193,30 +191,21 @@ def _clip_audio(record, stage: str):
 
 def run_segment(cfg: RunConfig, manifest: Manifest) -> None:
     seg_cfg = SegmentationConfig(**manifest.defaults.get("segmentation", {}))
-    out_path = os.path.join(cfg.out_dir, "segments.jsonl")
-    with open(out_path, "w") as fh:
-        for rec in sorted(manifest.clips, key=lambda r: r.id):
-            clip = _clip_audio(rec, "segment")
-            ann = rec.audio_path + ".events.json"
-            if os.path.isfile(ann):
-                source = DetectorSource("external_annotations", {"annotation_path": ann})
-            else:
-                source = DetectorSource("energy_baseline")
-            try:
-                words = extract_words(clip, source, seg_cfg)
-            except Exception as exc:
-                raise StageError("segment", f"clip {rec.id}: {exc}")
-            fh.write(
-                json.dumps(
-                    {
-                        "clip_id": rec.id,
-                        "words": [
-                            [round(w.start_s, 4), round(w.end_s, 4)] for w in words
-                        ],
-                    }
-                )
-                + "\n"
-            )
+    records = []
+    for rec in sorted(manifest.clips, key=lambda r: r.id):
+        clip = _clip_audio(rec, "segment")
+        ann = rec.audio_path + ".events.json"
+        if os.path.isfile(ann):
+            source = DetectorSource("external_annotations", {"annotation_path": ann})
+        else:
+            source = DetectorSource("energy_baseline")
+        try:
+            words = extract_words(clip, source, seg_cfg)
+        except Exception as exc:
+            raise StageError("segment", f"clip {rec.id}: {exc}")
+        spans = [[round(w.start_s, 4), round(w.end_s, 4)] for w in words]
+        records.append({"clip_id": rec.id, "words": spans})
+    write_jsonl(os.path.join(cfg.out_dir, "segments.jsonl"), records)
 
 
 def run_extract(cfg: RunConfig, manifest: Manifest) -> None:
@@ -237,11 +226,8 @@ def run_pair(cfg: RunConfig, manifest: Manifest) -> None:
     pairs = build_pairs(
         dogs, cfg.per_class_quota, cfg.stage_seed("pair"), cfg.cos_threshold
     )
-    with open(os.path.join(cfg.out_dir, "pairs.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["left", "right", "label"])
-        for p in pairs:
-            writer.writerow([p.left, p.right, p.label.name])
+    rows = ([p.left, p.right, p.label.name] for p in pairs)
+    write_csv(os.path.join(cfg.out_dir, "pairs.csv"), ["left", "right", "label"], rows)
 
 
 def _read_pairs(path) -> list:
@@ -346,12 +332,13 @@ def run_report(cfg: RunConfig, manifest: Manifest) -> None:
     for section, name in sections.items():
         src = os.path.join(cfg.out_dir, name)
         if os.path.isfile(src):
-            shutil.copyfile(src, os.path.join(report_dir, name))
+            with open(src, newline="") as fh:
+                text = fh.read()
+            write_file(os.path.join(report_dir, name), lambda fh: fh.write(text))
             index["sections"][section] = {"file": name, "present": True}
         else:
             index["sections"][section] = {"file": name, "present": False}
-    with open(os.path.join(report_dir, "index.json"), "w") as fh:
-        json.dump(index, fh, indent=1, sort_keys=True)
+    write_json(os.path.join(report_dir, "index.json"), index)
 
 
 _RUNNERS = {
@@ -412,7 +399,7 @@ def _run_stages(cfg: RunConfig, stages) -> dict:
             "config_hash": config_hash,
             "outputs": [os.path.relpath(p, cfg.out_dir) for p in outputs],
         }
-        _save_ledger(cfg.out_dir, ledger)
+        write_json(os.path.join(cfg.out_dir, LEDGER_NAME), ledger)
     return ledger
 
 

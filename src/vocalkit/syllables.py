@@ -7,14 +7,13 @@ the response mark vocal nuclei, and nuclei per second define speed.
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import expm
 from scipy.signal import find_peaks
 
+from .artifacts import write_csv, write_jsonl
 from .audio import AudioClip, amplitude_envelope, EnvelopeSeq
 
 LOG_COMPRESSION_GAIN = 100.0
@@ -154,37 +153,26 @@ def speed_report(rates_by_group: dict) -> list[dict]:
 
 
 def write_speed_csv(path, rows: list[dict]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["group", "n", "mean_rate", "median_rate", "stddev"])
-        for row in rows:
-            if row["empty"]:
-                writer.writerow([row["group"], 0, "", "", ""])
-            else:
-                writer.writerow(
-                    [
-                        row["group"],
-                        row["n"],
-                        f"{row['mean_rate']:.3f}",
-                        f"{row['median_rate']:.3f}",
-                        f"{row['stddev']:.3f}",
-                    ]
-                )
+    def cells(row):
+        if row["empty"]:
+            return [row["group"], 0, "", "", ""]
+        stats = (row["mean_rate"], row["median_rate"], row["stddev"])
+        return [row["group"], row["n"], *(f"{x:.3f}" for x in stats)]
+
+    write_csv(path, ["group", "n", "mean_rate", "median_rate", "stddev"], map(cells, rows))
 
 
 def write_nuclei_jsonl(path, units_by_clip: dict) -> None:
     """Per-clip nuclei times as JSON lines for external plotting."""
-    with open(path, "w") as fh:
-        for clip_id in sorted(units_by_clip):
-            u = units_by_clip[clip_id]
-            fh.write(
-                json.dumps(
-                    {
-                        "clip_id": clip_id,
-                        "nuclei_times_s": [round(float(t), 6) for t in u.nuclei_times_s],
-                        "clip_duration_s": round(float(u.clip_duration_s), 6),
-                        "rate_per_s": round(float(u.rate_per_s), 6),
-                    }
-                )
-                + "\n"
-            )
+    write_jsonl(
+        path,
+        (
+            {
+                "clip_id": clip_id,
+                "nuclei_times_s": [round(float(t), 6) for t in u.nuclei_times_s],
+                "clip_duration_s": round(float(u.clip_duration_s), 6),
+                "rate_per_s": round(float(u.rate_per_s), 6),
+            }
+            for clip_id, u in sorted(units_by_clip.items())
+        ),
+    )

@@ -9,12 +9,12 @@ downstream report value can be predicted from the sidecar alone.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
+from .artifacts import write_json, write_jsonl
 from .audio import AudioClip, save_audio
 from .features.pitch import F0_REF_HZ
 from .pairing import ACTIVITY_DIM, SCENES
@@ -222,16 +222,8 @@ def generate(spec: SynthSpec, out_dir):
                 }
 
     manifest_path = os.path.join(out_dir, "manifest.jsonl")
-    with open(manifest_path, "w") as fh:
-        fh.write(
-            json.dumps(
-                {"version": 1, "declared_locations": ["lawn"], "defaults": {}}
-            )
-            + "\n"
-        )
-        for rec in records:
-            fh.write(json.dumps(rec) + "\n")
+    header = {"version": 1, "declared_locations": ["lawn"], "defaults": {}}
+    write_jsonl(manifest_path, [header, *records])
     sidecar_path = os.path.join(out_dir, "ground_truth.json")
-    with open(sidecar_path, "w") as fh:
-        json.dump(sidecar, fh, indent=1, sort_keys=True)
+    write_json(sidecar_path, sidecar)
     return manifest_path, sidecar_path

@@ -88,6 +88,17 @@ class TestStages:
         assert main(["speed", "--manifest", corpus]) == EXIT_OK
         assert os.path.isfile(os.path.join(env_out, "speed.csv"))
 
+    def test_unreadable_ledger_reruns_every_stage(self, corpus, tmp_path):
+        out = tmp_path / "out"
+        argv = ["pipeline", "--manifest", corpus, "--out", str(out), *SMALL_FLAGS,
+                "--stages", "segment,extract,pair,speed"]
+        assert main(argv) == EXIT_OK
+        first = {p.name: p.read_bytes() for p in out.iterdir()}
+        ledger = out / "ledger.json"
+        ledger.write_bytes(first["ledger.json"][: len(first["ledger.json"]) // 2])
+        assert main(argv) == EXIT_OK
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == first
+
     def test_manifest_validation_exit_1(self, tmp_path, capsys):
         bad = tmp_path / "bad.jsonl"
         bad.write_text('{"version": 7}\n')
@@ -104,10 +115,11 @@ def _corpus_copy(corpus, tmp_path):
 
 class TestDecodeErrors:
     @staticmethod
-    def _cut_first_clip(corpus, tmp_path, keep):
-        """A copy of the corpus whose first clip's WAV keeps keep(size) bytes."""
+    def _cut_clip(corpus, tmp_path, keep, rank=0):
+        """A copy of the corpus whose rank-th clip, in id order, keeps
+        keep(size) bytes of its WAV."""
         manifest = _corpus_copy(corpus, tmp_path)
-        clip = load_manifest(manifest).clips[0]
+        clip = sorted(load_manifest(manifest).clips, key=lambda c: c.id)[rank]
         data = Path(clip.audio_path).read_bytes()
         Path(clip.audio_path).write_bytes(data[:keep(len(data))])
         return manifest, clip.id
@@ -115,12 +127,12 @@ class TestDecodeErrors:
     @pytest.fixture
     def truncated(self, corpus, tmp_path):
         """Cut off mid-header."""
-        return self._cut_first_clip(corpus, tmp_path, lambda size: 30)
+        return self._cut_clip(corpus, tmp_path, lambda size: 30)
 
     @pytest.fixture
     def half_cut(self, corpus, tmp_path):
         """A whole header whose data chunk holds half the samples it declares."""
-        return self._cut_first_clip(corpus, tmp_path, lambda size: size // 2)
+        return self._cut_clip(corpus, tmp_path, lambda size: size // 2)
 
     @staticmethod
     def _assert_stage_fails_naming_clip(cut, tmp_path, capsys, stage):
@@ -144,6 +156,11 @@ class TestDecodeErrors:
         err = self._assert_stage_fails_naming_clip(half_cut, tmp_path, capsys, stage)
         assert "Reached EOF prematurely" in err
 
+    def test_failed_segment_leaves_no_partial_segments_file(self, corpus, tmp_path, capsys):
+        cut = self._cut_clip(corpus, tmp_path, lambda size: 30, rank=1)
+        self._assert_stage_fails_naming_clip(cut, tmp_path, capsys, "segment")
+        assert os.listdir(tmp_path / "out") == []
+
 
 class TestManifestDefaults:
     @staticmethod
@@ -163,6 +180,7 @@ class TestManifestDefaults:
             ("segmentation", {"silence_floor_db": 3.0}, "segment", "silence_floor_db"),
             ("oscillator", {"dampng_ratio": 0.3}, "speed", "dampng_ratio"),
             ("segmentation", {"min_gap": 0.1}, "segment", "min_gap"),
+            ("oscilator", {"damping_ratio": 2.0}, "speed", "unknown section"),
         ],
     )
     def test_bad_defaults_exit_1_naming_the_section(

@@ -1,5 +1,6 @@
-"""Source hygiene: no module under src/ imports a name it never uses, and
-every name a demo imports from vocalkit exists."""
+"""Source hygiene: no module under src/ imports a name it never uses or
+opens a file for writing outside vocalkit.artifacts, and every name a demo
+imports from vocalkit exists."""
 
 import ast
 import importlib
@@ -86,3 +87,28 @@ def test_demo_imports_resolve(path):
                 f"{node.module}.{a.name}" for a in node.names if not hasattr(module, a.name)
             ]
     assert not missing, f"{path.name}: unresolved imports {missing}"
+
+
+
+def _write_opens(tree: ast.Module) -> list:
+    """(line, mode) of each open(...) call whose literal mode writes."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "open":
+            modes = node.args[1:2] + [k.value for k in node.keywords if k.arg == "mode"]
+            found += [
+                (node.lineno, m.value) for m in modes
+                if isinstance(m, ast.Constant) and set(m.value) & set("wax")
+            ]
+    return found
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p != SRC / "artifacts.py"],
+    ids=lambda p: str(p.relative_to(SRC)),
+)
+def test_only_artifacts_opens_files_for_writing(path):
+    """Every file vocalkit writes goes through vocalkit.artifacts, which
+    makes it land whole."""
+    writes = _write_opens(ast.parse(path.read_text(), filename=str(path)))
+    assert not writes, f"{path.relative_to(SRC)}: opens files for writing at {writes}"
