@@ -15,8 +15,8 @@ from dataclasses import fields
 
 from .classify import FAMILIES
 from .features import FEATURE_SET_DIMS
-from .manifest import ManifestError
-from .pipeline import STAGES, RunConfig, StageError, run_stages, stats_report
+from .manifest import ManifestError, corpus_stats, load_manifest
+from .pipeline import STAGES, RunConfig, StageError, run_stages
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -92,7 +92,8 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "stats":
-            print(json.dumps(stats_report(args.manifest), indent=1, sort_keys=True))
+            stats = corpus_stats(load_manifest(args.manifest))
+            print(json.dumps(stats, indent=1, sort_keys=True))
             return EXIT_OK
         cfg = _run_config(args)
         if args.command == "pipeline":

@@ -1,15 +1,15 @@
 """Manifest-driven batch pipeline with content-hash idempotence.
 
 Stages run in dependency order: segment -> extract -> pair -> train ->
-explain -> speed -> report.  Each stage records a content hash of the files
-it reads and of the RunConfig settings it reads (STAGE_SETTINGS) in the run
-ledger; a stage re-runs only when either hash changed or its outputs are
-missing.
+explain -> speed -> report.  STAGE_TABLE declares, once per stage, the
+stages whose artifacts it needs, the RunConfig settings it reads, and the
+files it reads and writes.  Each stage records a content hash of the files
+it reads and of its settings in the run ledger; a stage re-runs only when
+either hash changed or a file it writes is missing.
 """
 
 from __future__ import annotations
 
-import contextvars
 import csv
 import hashlib
 import json
@@ -29,7 +29,7 @@ from .explain import (
     write_correlation_csv,
 )
 from .features import clip_vector, read_feature_csv, write_feature_csv
-from .manifest import Manifest, corpus_stats, load_manifest
+from .manifest import Manifest, load_manifest
 from .pairing import ClipPair, PairClass, build_pairs, pair_dataset
 from .segmentation import DetectorSource, SegmentationConfig, extract_words
 from .syllables import (
@@ -41,29 +41,60 @@ from .syllables import (
     write_speed_csv,
 )
 
-STAGES = ("segment", "extract", "pair", "train", "explain", "speed", "report")
 
-STAGE_DEPS = {
-    "segment": (),
-    "extract": (),
-    "pair": (),
-    "train": ("extract", "pair"),
-    "explain": ("extract",),
-    "speed": (),
-    "report": (),
+@dataclass(frozen=True)
+class Stage:
+    """One row of STAGE_TABLE.  ``reads`` and ``writes`` hold names that
+    ``_paths`` expands: a corpus file set, the feature CSVs, the report
+    copies, or a file in the output directory."""
+
+    deps: tuple  # stages whose ``writes`` must exist before this one runs
+    settings: tuple  # the RunConfig fields it reads; others leave its ledger entry valid
+    reads: tuple
+    writes: tuple
+
+
+# report section -> the output file it copies into report/
+REPORT_SECTIONS = {
+    "accuracy_grid": "grid.csv",
+    "attribution": "attribution.csv",
+    "correlation": "correlation.csv",
+    "speed": "speed.csv",
 }
 
-# the RunConfig settings each stage reads; changing any other setting
-# leaves the stage's ledger entry valid
-STAGE_SETTINGS = {
-    "segment": (),
-    "extract": ("feature_sets",),
-    "pair": ("seed", "cos_threshold", "per_class_quota"),
-    "train": ("seed", "feature_sets", "families", "folds"),
-    "explain": ("seed", "feature_sets", "prominence_cutoff"),
-    "speed": (),
-    "report": (),
+# one row per stage, in run order
+STAGE_TABLE = {
+    "segment": Stage(
+        deps=(), settings=(),
+        reads=("manifest", "audio", "annotations"), writes=("segments.jsonl",),
+    ),
+    "extract": Stage(
+        deps=(), settings=("feature_sets",),
+        reads=("manifest", "audio"), writes=("features",),
+    ),
+    "pair": Stage(
+        deps=(), settings=("seed", "cos_threshold", "per_class_quota"),
+        reads=("manifest", "activity"), writes=("pairs.csv",),
+    ),
+    "train": Stage(
+        deps=("extract", "pair"), settings=("seed", "feature_sets", "families", "folds"),
+        reads=("pairs.csv", "features"), writes=("grid.csv", "cv_reports.json"),
+    ),
+    "explain": Stage(
+        deps=("extract",), settings=("seed", "feature_sets", "prominence_cutoff"),
+        reads=("manifest", "features"), writes=("attribution.csv", "correlation.csv"),
+    ),
+    "speed": Stage(
+        deps=(), settings=(),
+        reads=("manifest", "audio"), writes=("speed.csv", "nuclei.jsonl"),
+    ),
+    "report": Stage(
+        deps=(), settings=(),
+        reads=tuple(REPORT_SECTIONS.values()), writes=("report copies", "report/index.json"),
+    ),
 }
+
+STAGES = tuple(STAGE_TABLE)
 
 LEDGER_NAME = "ledger.json"
 
@@ -91,11 +122,6 @@ class RunConfig:
         return int.from_bytes(digest[:8], "little") % (2 ** 31)
 
 
-# file digests taken by the current run_stages call: stages that read the
-# same corpus files read each file once per call
-_DIGESTS: contextvars.ContextVar[dict] = contextvars.ContextVar("file_digests")
-
-
 def _file_digest(path) -> bytes:
     if not os.path.isfile(path):
         return b"M"
@@ -106,11 +132,11 @@ def _file_digest(path) -> bytes:
     return b"F" + content.digest()
 
 
-def _hash_files(paths) -> str:
+def _hash_files(paths, digests: dict) -> str:
     """Digest of the files' contents in the given order, not of their paths,
     so a moved or copied directory keeps its ledger; a missing file hashes as
-    a marker that no content digest can produce."""
-    digests = _DIGESTS.get({})
+    a marker that no content digest can produce.  ``digests`` memoises each
+    file's digest by path, so stages that read the same file read it once."""
     h = hashlib.sha256()
     for p in paths:
         key = os.fspath(p)
@@ -121,7 +147,7 @@ def _hash_files(paths) -> str:
 
 
 def _config_hash(cfg: RunConfig, stage: str) -> str:
-    relevant = {name: getattr(cfg, name) for name in STAGE_SETTINGS[stage]}
+    relevant = {name: getattr(cfg, name) for name in STAGE_TABLE[stage].settings}
     relevant["stage"] = stage
     return hashlib.sha256(json.dumps(relevant, sort_keys=True).encode()).hexdigest()
 
@@ -137,44 +163,35 @@ def _load_ledger(out_dir) -> dict:
     return ledger if isinstance(ledger, dict) else {}
 
 
-def _stage_inputs(cfg: RunConfig, manifest: Manifest, stage: str):
-    audio = [c.audio_path for c in manifest.clips]
-    out = cfg.out_dir
-    feature_csvs = [
-        os.path.join(out, f"features_{s}.csv") for s in cfg.feature_sets
-    ]
-    table = {
-        "segment": [cfg.manifest_path, *audio],
-        "extract": [cfg.manifest_path, *audio],
-        "pair": [cfg.manifest_path, *manifest.activity_paths],
-        "train": [os.path.join(out, "pairs.csv"), *feature_csvs],
-        "explain": [cfg.manifest_path, *feature_csvs],
-        "speed": [cfg.manifest_path, *audio],
-        "report": [
-            os.path.join(out, n)
-            for n in ("grid.csv", "attribution.csv", "correlation.csv", "speed.csv")
-        ],
-    }
-    return table[stage]
+def _annotation_path(record) -> str:
+    """The event-annotation file segment uses for a clip when it exists."""
+    return record.audio_path + ".events.json"
 
 
-def _stage_outputs(cfg: RunConfig, stage: str):
-    out = cfg.out_dir
-    table = {
-        "segment": [os.path.join(out, "segments.jsonl")],
-        "extract": [
-            os.path.join(out, f"features_{s}.csv") for s in cfg.feature_sets
-        ],
-        "pair": [os.path.join(out, "pairs.csv")],
-        "train": [os.path.join(out, "grid.csv"), os.path.join(out, "cv_reports.json")],
-        "explain": [
-            os.path.join(out, "attribution.csv"),
-            os.path.join(out, "correlation.csv"),
-        ],
-        "speed": [os.path.join(out, "speed.csv"), os.path.join(out, "nuclei.jsonl")],
-        "report": [os.path.join(out, "report", "index.json")],
-    }
-    return table[stage]
+def _paths(cfg: RunConfig, manifest: Manifest, names) -> list:
+    """Expand a STAGE_TABLE row's ``reads`` or ``writes`` into file paths."""
+    out_dir = cfg.out_dir
+    paths = []
+    for name in names:
+        if name == "manifest":
+            paths.append(cfg.manifest_path)
+        elif name == "audio":
+            paths.extend(c.audio_path for c in manifest.clips)
+        elif name == "annotations":
+            paths.extend(_annotation_path(c) for c in manifest.clips)
+        elif name == "activity":
+            paths.extend(manifest.activity_paths)
+        elif name == "features":
+            paths.extend(os.path.join(out_dir, f"features_{s}.csv") for s in cfg.feature_sets)
+        elif name == "report copies":
+            # a section is copied only when its source exists
+            paths.extend(
+                os.path.join(out_dir, "report", f) for f in REPORT_SECTIONS.values()
+                if os.path.isfile(os.path.join(out_dir, f))
+            )
+        else:
+            paths.append(os.path.join(out_dir, name))
+    return paths
 
 
 def _clip_audio(record, stage: str):
@@ -194,7 +211,7 @@ def run_segment(cfg: RunConfig, manifest: Manifest) -> None:
     records = []
     for rec in sorted(manifest.clips, key=lambda r: r.id):
         clip = _clip_audio(rec, "segment")
-        ann = rec.audio_path + ".events.json"
+        ann = _annotation_path(rec)
         if os.path.isfile(ann):
             source = DetectorSource("external_annotations", {"annotation_path": ann})
         else:
@@ -322,14 +339,8 @@ def run_speed(cfg: RunConfig, manifest: Manifest) -> None:
 def run_report(cfg: RunConfig, manifest: Manifest) -> None:
     report_dir = os.path.join(cfg.out_dir, "report")
     os.makedirs(report_dir, exist_ok=True)
-    sections = {
-        "accuracy_grid": "grid.csv",
-        "attribution": "attribution.csv",
-        "correlation": "correlation.csv",
-        "speed": "speed.csv",
-    }
     index = {"sections": {}}
-    for section, name in sections.items():
+    for section, name in REPORT_SECTIONS.items():
         src = os.path.join(cfg.out_dir, name)
         if os.path.isfile(src):
             with open(src, newline="") as fh:
@@ -358,13 +369,7 @@ def run_stages(cfg: RunConfig, stages=None) -> dict:
     Returns the updated ledger.  Raises StageError when a stage's upstream
     artifacts are missing or a stage fails.
     """
-    # the digest memo lives in a copy of the context, so it ends with this call
-    return contextvars.copy_context().run(_run_stages, cfg, stages)
-
-
-def _run_stages(cfg: RunConfig, stages) -> dict:
-    digests = {}
-    _DIGESTS.set(digests)
+    digests = {}  # file digests taken by this call, shared by its stages
     manifest = load_manifest(cfg.manifest_path)
     os.makedirs(cfg.out_dir, exist_ok=True)
     ledger = _load_ledger(cfg.out_dir)
@@ -372,18 +377,19 @@ def _run_stages(cfg: RunConfig, stages) -> dict:
     for stage in requested:
         if stage not in STAGES:
             raise StageError(stage, "unknown stage")
-    for stage in STAGES:
+    for stage, row in STAGE_TABLE.items():
         if stage not in requested:
             continue
-        for dep in STAGE_DEPS[stage]:
+        for dep in row.deps:
             if dep in requested and STAGES.index(dep) < STAGES.index(stage):
                 continue
-            if not all(os.path.isfile(p) for p in _stage_outputs(cfg, dep)):
+            dep_writes = _paths(cfg, manifest, STAGE_TABLE[dep].writes)
+            if not all(os.path.isfile(p) for p in dep_writes):
                 raise StageError(stage, f"missing dependency artifacts from stage {dep!r}")
-        input_hash = _hash_files(_stage_inputs(cfg, manifest, stage))
+        input_hash = _hash_files(_paths(cfg, manifest, row.reads), digests)
         config_hash = _config_hash(cfg, stage)
         entry = ledger.get(stage)
-        outputs = _stage_outputs(cfg, stage)
+        outputs = _paths(cfg, manifest, row.writes)
         if (
             entry
             and entry.get("input_hash") == input_hash
@@ -401,7 +407,3 @@ def _run_stages(cfg: RunConfig, stages) -> dict:
         }
         write_json(os.path.join(cfg.out_dir, LEDGER_NAME), ledger)
     return ledger
-
-
-def stats_report(manifest_path) -> dict:
-    return corpus_stats(load_manifest(manifest_path))

@@ -184,21 +184,16 @@ def sentence_segments(
     return merged
 
 
-def filter_noisy(
-    sentences: list[EventSpan],
-    events: list[EventSpan],
-    min_overlap_frac: float = 0.0,
-) -> list[EventSpan]:
+def filter_noisy(sentences: list[EventSpan], events: list[EventSpan]) -> list[EventSpan]:
     """Drop sentences that temporally overlap speech or music events.
 
-    With the default min_overlap_frac of 0, any positive overlap disqualifies
-    a sentence (strictest reading of "co-existing" noise).
+    Any positive overlap disqualifies a sentence (strictest reading of
+    "co-existing" noise).
     """
     noise = [e for e in events if e.label in NOISE_LABELS]
     kept = []
     for sent in sentences:
-        limit = min_overlap_frac * sent.duration_s
-        if any(sent.overlap_s(nz) > limit for nz in noise):
+        if any(sent.overlap_s(nz) > 0 for nz in noise):
             continue
         kept.append(sent)
     return kept

@@ -11,15 +11,14 @@ import pytest
 
 from vocalkit import audio, pipeline
 from vocalkit.classify import cv
-from vocalkit.manifest import Manifest, load_manifest
+from vocalkit.manifest import Manifest, corpus_stats, load_manifest
 from vocalkit.pipeline import (
-    STAGE_DEPS,
+    STAGE_TABLE,
     STAGES,
     RunConfig,
     StageError,
     run_speed,
     run_stages,
-    stats_report,
 )
 from vocalkit.synth import SynthGroup, SynthSpec, generate
 
@@ -66,11 +65,35 @@ def full_run(corpus, tmp_path_factory):
     return cfg, ledger
 
 
+def _files(root) -> set:
+    """Every file under root, as a path relative to it."""
+    return {
+        os.path.relpath(os.path.join(d, f), root) for d, _, names in os.walk(root) for f in names
+    }
+
+
 class TestStageGraph:
     def test_stage_order_covers_dependencies(self):
-        for stage, deps in STAGE_DEPS.items():
-            for dep in deps:
+        for stage, row in STAGE_TABLE.items():
+            for dep in row.deps:
                 assert STAGES.index(dep) < STAGES.index(stage)
+
+    def test_runners_match_the_table(self):
+        assert list(pipeline._RUNNERS) == list(STAGE_TABLE)
+        for stage, runner in pipeline._RUNNERS.items():
+            assert runner is getattr(pipeline, f"run_{stage}")
+
+    def test_each_stage_writes_exactly_its_row(self, corpus, tmp_path):
+        cfg = make_cfg(corpus, tmp_path / "o")
+        manifest = load_manifest(corpus[0])
+        before = set()
+        for stage in STAGES:
+            run_stages(cfg, [stage])
+            writes = pipeline._paths(cfg, manifest, STAGE_TABLE[stage].writes)
+            expected = {os.path.relpath(p, cfg.out_dir) for p in writes}
+            after = _files(cfg.out_dir)
+            assert after - before == expected | ({"ledger.json"} - before), stage
+            before = after
 
     def test_unknown_stage(self, corpus, tmp_path):
         cfg = make_cfg(corpus, tmp_path / "o")
@@ -273,15 +296,20 @@ class TestLedgerScope:
         hashed = []
         real = pipeline._hash_files
 
-        def counting(paths):
+        def counting(paths, digests):
             hashed.append(paths)
-            return real(paths)
+            return real(paths, digests)
 
         monkeypatch.setattr(pipeline, "_hash_files", counting)
         stages = ["segment", "speed", "report"]
-        ledger = run_stages(make_cfg(corpus, tmp_path), stages)
+        cfg = make_cfg(corpus, tmp_path)
+        ledger = run_stages(cfg, stages)
         assert len(hashed) == len(stages)
         assert set(ledger) == set(stages)
+        # report copied only speed.csv, and that copy keeps the ledger valid
+        ran = record_runs(monkeypatch)
+        run_stages(cfg, stages)
+        assert ran == []
 
 
     def test_noop_rerun_reads_each_corpus_file_once(self, full_run, monkeypatch):
@@ -322,7 +350,10 @@ class TestLedgerContent:
         copy = tmp_path / "sub" / "a"
         copy.parent.mkdir()
         copy.write_bytes(b"x")
-        digest = pipeline._hash_files
+
+        def digest(paths):
+            return pipeline._hash_files(paths, {})
+
         assert digest([a, b]) == digest([copy, b])
         assert digest([a, b]) != digest([b, a])
         assert digest([empty]) != digest([tmp_path / "missing"])
@@ -366,6 +397,36 @@ class TestLedgerContent:
         vec[::-1].tofile(blob)
         run_stages(copied)
         assert ran == ["pair"]
+
+    def test_annotation_files_are_segment_inputs(self, copied, tmp_path):
+        first, second = sorted(load_manifest(copied.manifest_path).clips, key=lambda c: c.id)[:2]
+
+        def annotate(clip, start_s, end_s):
+            spans = [{"label": "barking", "start_s": start_s, "end_s": end_s}]
+            Path(pipeline._annotation_path(clip)).write_text(json.dumps(spans))
+
+        annotate(first, 0.1, 0.9)
+        run_stages(copied, ["segment"])
+        results = []
+        for change in (
+            lambda: annotate(first, 1.0, 1.9),  # edit
+            lambda: annotate(second, 0.1, 0.9),  # add
+            lambda: os.remove(pipeline._annotation_path(first)),  # remove
+        ):
+            change()
+            run_stages(copied, ["segment"])
+            fresh = tmp_path / f"fresh{len(results)}"
+            run_stages(dataclasses.replace(copied, out_dir=str(fresh)), ["segment"])
+            got = Path(copied.out_dir, "segments.jsonl").read_bytes()
+            assert got == (fresh / "segments.jsonl").read_bytes()
+            results.append(got)
+        assert len(set(results)) == len(results)  # each change moved the words
+
+    def test_rerun_restores_a_deleted_report_copy(self, copied):
+        copy = Path(copied.out_dir, "report", "grid.csv")
+        copy.unlink()
+        run_stages(copied, ["report"])
+        assert copy.read_bytes() == Path(copied.out_dir, "grid.csv").read_bytes()
 
 
 def test_a_killed_cv_worker_fails_the_train_stage(full_run, tmp_path, monkeypatch):
@@ -418,7 +479,7 @@ class TestSyllableCountOverride:
 
 
 def test_stats_report(corpus):
-    stats = stats_report(corpus[0])
+    stats = corpus_stats(load_manifest(corpus[0]))
     assert stats["kinds"]["dog_vocal"]["n_clips"] == 8
     assert stats["kinds"]["host_speech"]["n_clips"] == 8
     assert stats["kinds"]["dog_vocal"]["english_pct"] == pytest.approx(50.0)

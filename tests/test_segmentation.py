@@ -201,12 +201,6 @@ class TestFilterNoisy:
         events = sentences + spans(("music", 1.0, 1.5))
         assert filter_noisy(sentences, events) == []
 
-    def test_overlap_fraction_threshold(self):
-        sentences = spans(("barking", 0.0, 2.0))
-        events = sentences + spans(("speech", 1.9, 3.0))  # 5% overlap
-        assert filter_noisy(sentences, events, min_overlap_frac=0.1) == sentences
-        assert filter_noisy(sentences, events, min_overlap_frac=0.01) == []
-
 
 class TestWordSegments:
     def test_splits_at_silence(self):
