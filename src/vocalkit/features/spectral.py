@@ -6,6 +6,8 @@ to a single clip-level vector by averaging across frames.
 
 from __future__ import annotations
 
+from functools import cache
+
 import numpy as np
 
 from ..audio import SpectralFrameSeq
@@ -26,8 +28,11 @@ def _mel_to_hz(m):
     return 700.0 * (10.0 ** (np.asarray(m) / 2595.0) - 1.0)
 
 
+@cache
 def mel_filter_matrix(n_bins: int, bin_hz: float) -> np.ndarray:
-    """Triangular mel filters (24 x n_bins) spanning 0..MEL_FMAX_HZ."""
+    """Triangular mel filters (24 x n_bins) spanning 0..MEL_FMAX_HZ.
+
+    Built once per shape and shared by every caller, so read-only."""
     fmax = min(MEL_FMAX_HZ, (n_bins - 1) * bin_hz)
     edges_hz = _mel_to_hz(np.linspace(0.0, _hz_to_mel(fmax), N_MEL_BANDS + 2))
     freqs = np.arange(n_bins) * bin_hz
@@ -37,6 +42,7 @@ def mel_filter_matrix(n_bins: int, bin_hz: float) -> np.ndarray:
         rising = (freqs - lo) / max(mid - lo, 1e-12)
         falling = (hi - freqs) / max(hi - mid, 1e-12)
         fb[b] = np.clip(np.minimum(rising, falling), 0.0, None)
+    fb.setflags(write=False)
     return fb
 
 
@@ -56,12 +62,14 @@ def mel_filterbank(spec: SpectralFrameSeq, clip_id: str = "") -> FeatureVector:
     return FeatureVector("filterbank24", names, values, clip_id)
 
 
+@cache
 def _dct2_ortho(n_out: int, n_in: int) -> np.ndarray:
-    """Orthonormal DCT-II matrix (n_out x n_in)."""
+    """Orthonormal DCT-II matrix (n_out x n_in), shared and read-only."""
     k = np.arange(n_out)[:, None]
     n = np.arange(n_in)[None, :]
     mat = np.cos(np.pi * k * (2 * n + 1) / (2 * n_in)) * np.sqrt(2.0 / n_in)
     mat[0] /= np.sqrt(2.0)
+    mat.setflags(write=False)
     return mat
 
 
@@ -88,8 +96,10 @@ def _equal_loudness(f):
     return (f2 + 56.8e6) * f2 ** 2 / ((f2 + 6.3e6) ** 2 * (f2 + 0.38e9))
 
 
+@cache
 def _bark_filter_matrix(n_bins: int, bin_hz: float):
-    """Critical-band masking filters on the bark axis plus band center freqs."""
+    """Critical-band masking filters on the bark axis plus band center freqs,
+    both shared and read-only."""
     freqs = np.arange(n_bins) * bin_hz
     barks = _hz_to_bark(freqs)
     max_bark = barks[-1]
@@ -107,6 +117,8 @@ def _bark_filter_matrix(n_bins: int, bin_hz: float):
         w[hi] = 10.0 ** (-2.5 * (d[hi] - 0.5))
         fb[b] = w
     center_hz = 600.0 * np.sinh(centers / 6.0)
+    fb.setflags(write=False)
+    center_hz.setflags(write=False)
     return fb, center_hz
 
 

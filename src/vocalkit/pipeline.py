@@ -10,6 +10,7 @@ either hash changed or a file it writes is missing.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import hashlib
 import json
@@ -348,6 +349,10 @@ def run_report(cfg: RunConfig, manifest: Manifest) -> None:
             write_file(os.path.join(report_dir, name), lambda fh: fh.write(text))
             index["sections"][section] = {"file": name, "present": True}
         else:
+            # a copy from a run that had the source would be a section the
+            # index disowns
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(os.path.join(report_dir, name))
             index["sections"][section] = {"file": name, "present": False}
     write_json(os.path.join(report_dir, "index.json"), index)
 

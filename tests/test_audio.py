@@ -141,6 +141,48 @@ class TestResample:
         assert len(out.samples) == n_out
         assert out.samples.tobytes() == _resample_reference(clip, SR).tobytes()
 
+    # Blocks whose windows all lie inside the clip take resample's interior
+    # path, the others its edge path; the cases below sit on the seams.
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+    @pytest.mark.parametrize(
+        "where", [0, 31, 3 * _RESAMPLE_BLOCK, "middle", -32, -1],
+        ids=["first", "start+31", "block_seam", "middle", "end-32", "last"],
+    )
+    def test_non_finite_samples_match_per_sample_taps(self, monkeypatch, value, where):
+        # AudioClip rejects non-finite samples, in resample's input and output
+        monkeypatch.setattr(AudioClip, "__post_init__", lambda self: None)
+        x = np.random.default_rng(3).uniform(-1, 1, 2 * 48000)
+        x[len(x) // 2 if where == "middle" else where] = value
+        clip = AudioClip(x, 48000)
+        with np.errstate(invalid="ignore"):
+            out = resample(clip, SR)
+            want = _resample_reference(clip, SR)
+        assert not np.isfinite(out.samples).all()
+        assert out.samples.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("past", [0, 1], ids=["ends_at_n", "one_past_n"])
+    @pytest.mark.parametrize("sr", [44100, 48000])
+    def test_last_interior_window_at_the_clip_end(self, sr, past):
+        # the second block's last window ends exactly at the clip's end, or
+        # one sample past it, which makes it an edge block
+        i_last = 2 * _RESAMPLE_BLOCK - 1
+        n = int(np.floor(i_last * (sr / SR))) + _RESAMPLE_HALF_TAPS + 1 - past
+        clip = AudioClip(np.random.default_rng(n).uniform(-1, 1, n), sr)
+        out = resample(clip, SR)
+        assert len(out.samples) > i_last + 1
+        assert out.samples.tobytes() == _resample_reference(clip, SR).tobytes()
+
+    @pytest.mark.parametrize("target, first", [(34000, -1), (32768, 0)])
+    def test_first_interior_window_at_the_clip_start(self, target, first):
+        # upsampling by about 33x: the second block's first window starts one
+        # sample before the clip, which makes it an edge block, or at its start
+        sr, n = 1000, 200
+        assert np.floor(_RESAMPLE_BLOCK * (sr / target)) - _RESAMPLE_HALF_TAPS + 1 == first
+        clip = AudioClip(np.random.default_rng(target).uniform(-1, 1, n), sr)
+        out = resample(clip, target)
+        assert out.samples.tobytes() == _resample_reference(clip, target).tobytes()
+
 
 class TestPowerSpectrogram:
     def test_dc_energy_in_lowest_bins(self):

@@ -50,6 +50,7 @@ from vocalkit.features.pitch import (
 from vocalkit.features.spectral import (
     LOG_FLOOR,
     PLP_ORDER,
+    _bark_filter_matrix,
     _dct2_ortho,
     _levinson,
     _lpc_to_cepstrum,
@@ -305,6 +306,28 @@ class TestMelFilterbank:
         d = mel_filterbank(spec2).values - mel_filterbank(spec1).values
         unfloored = mel_filterbank(spec1).values > np.log(1e-10) + 1e-9
         assert np.allclose(d[unfloored], np.log(4.0), atol=1e-6)
+
+
+
+@pytest.mark.parametrize(
+    "build, args",
+    [
+        (mel_filter_matrix, (201, 62.5)),
+        (mel_filter_matrix, (601, 40.0)),
+        (_bark_filter_matrix, (201, 62.5)),
+        (_dct2_ortho, (13, 24)),
+    ],
+    ids=["mel", "mel_wide", "bark", "dct"],
+)
+def test_filter_banks_are_built_once_and_read_only(build, args):
+    cached, fresh = build(*args), build.__wrapped__(*args)
+    assert build(*args) is cached
+    if not isinstance(cached, tuple):
+        cached, fresh = (cached,), (fresh,)
+    for got, want in zip(cached, fresh, strict=True):
+        assert got.tobytes() == want.tobytes()
+        with pytest.raises(ValueError):
+            got[0] = 0.0
 
 
 class TestMfcc:

@@ -428,6 +428,14 @@ class TestLedgerContent:
         run_stages(copied, ["report"])
         assert copy.read_bytes() == Path(copied.out_dir, "grid.csv").read_bytes()
 
+    def test_rerun_removes_the_copy_of_a_deleted_source(self, copied):
+        Path(copied.out_dir, "speed.csv").unlink()
+        run_stages(copied, ["report"])
+        index = json.loads(Path(copied.out_dir, "report", "index.json").read_text())
+        assert index["sections"]["speed"]["present"] is False
+        assert not Path(copied.out_dir, "report", "speed.csv").exists()
+        assert Path(copied.out_dir, "report", "grid.csv").is_file()
+
 
 def test_a_killed_cv_worker_fails_the_train_stage(full_run, tmp_path, monkeypatch):
     cfg, _ = full_run
