@@ -22,10 +22,11 @@ DEFAULT_FRAME_HOP_S = 0.010
 # half-width of the windowed-sinc resampling kernel (64 taps total)
 _RESAMPLE_HALF_TAPS = 32
 # output samples per evaluation block: the block x 64 temporaries are 512 KiB
-# each.  Resampling a 12-clip 48 kHz corpus three times took 0.29 s with
-# blocks of 1024, 0.28 s with 512 (within the quartiles, and segment+extract+
-# speed faster in only 12 of 20 alternated rounds), and 0.48 s and 0.73 s
-# with 2048 and 4096
+# each.  Measured while segment, extract and speed still each decoded every
+# clip, so three resamples per clip: resampling a 12-clip 48 kHz corpus that
+# way took 0.29 s with blocks of 1024, 0.28 s with 512 (within the quartiles,
+# and segment+extract+speed faster in only 12 of 20 alternated rounds), and
+# 0.48 s and 0.73 s with 2048 and 4096
 _RESAMPLE_BLOCK = 1024
 
 

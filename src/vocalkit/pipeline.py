@@ -6,6 +6,12 @@ stages whose artifacts it needs, the RunConfig settings it reads, and the
 files it reads and writes.  Each stage records a content hash of the files
 it reads and of its settings in the run ledger; a stage re-runs only when
 either hash changed or a file it writes is missing.
+
+segment, extract and speed are the frontend: each is a per-clip function
+and a writer (_FRONTEND), and the frontend stages that miss the ledger run
+together in one pass over the clips (_frontend), which decodes and resamples
+each clip once.  That pass runs at the place of the first of them, so speed
+runs ahead of pair, train and explain, none of which reads its files.
 """
 
 from __future__ import annotations
@@ -17,6 +23,7 @@ import json
 import os
 from concurrent.futures import BrokenExecutor
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -207,36 +214,142 @@ def _clip_audio(record, stage: str):
         raise StageError(stage, f"clip {record.id} ({record.audio_path}): {exc}") from exc
 
 
-def run_segment(cfg: RunConfig, manifest: Manifest) -> None:
+def _segment_clip(cfg: RunConfig, manifest: Manifest, rec, clip) -> dict:
+    """The clip's segments.jsonl record."""
     seg_cfg = SegmentationConfig(**manifest.defaults.get("segmentation", {}))
-    records = []
-    for rec in sorted(manifest.clips, key=lambda r: r.id):
-        clip = _clip_audio(rec, "segment")
-        ann = _annotation_path(rec)
-        if os.path.isfile(ann):
-            source = DetectorSource("external_annotations", {"annotation_path": ann})
-        else:
-            source = DetectorSource("energy_baseline")
-        try:
-            words = extract_words(clip, source, seg_cfg)
-        except Exception as exc:
-            raise StageError("segment", f"clip {rec.id}: {exc}")
-        spans = [[round(w.start_s, 4), round(w.end_s, 4)] for w in words]
-        records.append({"clip_id": rec.id, "words": spans})
+    ann = _annotation_path(rec)
+    if os.path.isfile(ann):
+        source = DetectorSource("external_annotations", {"annotation_path": ann})
+    else:
+        source = DetectorSource("energy_baseline")
+    try:
+        words = extract_words(clip, source, seg_cfg)
+    except Exception as exc:
+        raise StageError("segment", f"clip {rec.id}: {exc}")
+    return {"clip_id": rec.id, "words": [[round(w.start_s, 4), round(w.end_s, 4)] for w in words]}
+
+
+def _write_segment(cfg: RunConfig, records: list) -> None:
     write_jsonl(os.path.join(cfg.out_dir, "segments.jsonl"), records)
 
 
-def run_extract(cfg: RunConfig, manifest: Manifest) -> None:
-    vectors = {s: [] for s in cfg.feature_sets}
+def _extract_clip(cfg: RunConfig, manifest: Manifest, rec, clip) -> list:
+    """The clip's vector for each feature set, in ``cfg.feature_sets`` order."""
+    vectors = []
+    for set_id in cfg.feature_sets:
+        try:
+            vectors.append(clip_vector(clip, set_id, rec.id))
+        except Exception as exc:
+            raise StageError("extract", f"clip {rec.id} ({set_id}): {exc}")
+    return vectors
+
+
+def _write_extract(cfg: RunConfig, per_clip: list) -> None:
+    for i, set_id in enumerate(cfg.feature_sets):
+        write_feature_csv(
+            os.path.join(cfg.out_dir, f"features_{set_id}.csv"), [v[i] for v in per_clip]
+        )
+
+
+def _speed_clip(cfg: RunConfig, manifest: Manifest, rec, clip) -> tuple:
+    """The clip's (id, group, syllable rate, nuclei).  A record that supplies
+    its syllable count gets no audio (``clip`` is None) and no nuclei."""
+    group = f"{rec.kind}/{rec.lang_env}"
+    if rec.syllable_count is not None:
+        # externally supplied (text-derived) syllable count overrides audio
+        return rec.id, group, rec.syllable_count / rec.duration_s, None
+    osc_cfg = OscillatorConfig(**manifest.defaults.get("oscillator", {}))
+    try:
+        units = detect_syllables(clip, osc_cfg)
+    except (AudioError, SyllableError) as exc:
+        raise StageError("speed", f"clip {rec.id}: {exc}")
+    return rec.id, group, units.rate_per_s, units
+
+
+def _write_speed(cfg: RunConfig, per_clip: list) -> None:
+    rates = {}
+    for _, group, rate, _ in per_clip:
+        rates.setdefault(group, []).append(rate)
+    units_by_clip = {cid: units for cid, _, _, units in per_clip if units is not None}
+    write_speed_csv(os.path.join(cfg.out_dir, "speed.csv"), speed_report(rates))
+    write_nuclei_jsonl(os.path.join(cfg.out_dir, "nuclei.jsonl"), units_by_clip)
+
+
+@dataclass(frozen=True)
+class _ClipStage:
+    """A frontend stage, split for ``_frontend``."""
+
+    clip: Callable  # (cfg, manifest, record, canonical-rate clip) -> the clip's result
+    write: Callable  # (cfg, results in clip id order) -> None; writes the stage's files
+    needs_audio: Callable = lambda rec: True  # false: ``clip`` gets None for that record
+
+
+# the stages that run per clip, on the same decoded clips
+_FRONTEND = {
+    "segment": _ClipStage(_segment_clip, _write_segment),
+    "extract": _ClipStage(_extract_clip, _write_extract),
+    "speed": _ClipStage(
+        _speed_clip, _write_speed, needs_audio=lambda rec: rec.syllable_count is None
+    ),
+}
+
+
+def _frontend(cfg: RunConfig, manifest: Manifest, stages, done=lambda stage: None) -> None:
+    """Run the frontend ``stages`` (_FRONTEND keys, in STAGES order) in one
+    pass over the clips in id order.
+
+    Each clip is decoded and resampled once, and only when some stage still
+    running needs its audio; every stage's per-clip function gets that clip,
+    and only their results are kept.  After the last clip each stage's writer
+    runs, then ``done(stage)``.
+
+    Failure rule: a stage that fails on a clip drops out of the pass.  It
+    writes no file, so its files and ledger entry from an earlier run stay as
+    they were.  A clip that cannot be decoded fails every stage that needs
+    its audio.  The other stages finish the pass, write their files and are
+    passed to ``done``, so ``run_stages`` records them and a re-run repeats
+    only the failed stages.  Then the earliest failed stage's error is
+    raised: the stage and clip that running the stages one after another
+    would have failed on.
+    """
+    results = {stage: [] for stage in stages}
+    failed = {}
     for rec in sorted(manifest.clips, key=lambda r: r.id):
-        clip = _clip_audio(rec, "extract")
-        for set_id in cfg.feature_sets:
+        running = [s for s in stages if s not in failed]
+        need_audio = [s for s in running if _FRONTEND[s].needs_audio(rec)]
+        if need_audio:
             try:
-                vectors[set_id].append(clip_vector(clip, set_id, rec.id))
-            except Exception as exc:
-                raise StageError("extract", f"clip {rec.id} ({set_id}): {exc}")
-    for set_id, vecs in vectors.items():
-        write_feature_csv(os.path.join(cfg.out_dir, f"features_{set_id}.csv"), vecs)
+                # the last clip is freed only once this one is decoded; freed
+                # first, its memory went back to the OS and was faulted in
+                # again for every clip (55,000 minor page faults per 96-clip
+                # 16 kHz pass, against 13,000)
+                clip = _clip_audio(rec, need_audio[0])
+            except StageError as exc:
+                clip = None
+                failed.update(dict.fromkeys(need_audio, exc))
+                running = [s for s in running if s not in failed]
+        else:
+            clip = None
+        for stage in running:
+            try:
+                results[stage].append(_FRONTEND[stage].clip(cfg, manifest, rec, clip))
+            except StageError as exc:
+                failed[stage] = exc
+    for stage in stages:
+        if stage not in failed:
+            _FRONTEND[stage].write(cfg, results[stage])
+            done(stage)
+    for stage in stages:
+        if stage in failed:
+            raise failed[stage]
+
+
+def run_segment(cfg: RunConfig, manifest: Manifest) -> None:
+    _frontend(cfg, manifest, ["segment"])
+
+
+def run_extract(cfg: RunConfig, manifest: Manifest) -> None:
+    _frontend(cfg, manifest, ["extract"])
 
 
 def run_pair(cfg: RunConfig, manifest: Manifest) -> None:
@@ -315,26 +428,7 @@ def run_explain(cfg: RunConfig, manifest: Manifest) -> None:
 
 
 def run_speed(cfg: RunConfig, manifest: Manifest) -> None:
-    osc_cfg = OscillatorConfig(**manifest.defaults.get("oscillator", {}))
-    rates = {}
-    units_by_clip = {}
-    for rec in sorted(manifest.clips, key=lambda r: r.id):
-        group = f"{rec.kind}/{rec.lang_env}"
-        if rec.syllable_count is not None:
-            # externally supplied (text-derived) syllable count overrides audio
-            rate = rec.syllable_count / rec.duration_s
-            rates.setdefault(group, []).append(rate)
-            continue
-        clip = _clip_audio(rec, "speed")
-        try:
-            units = detect_syllables(clip, osc_cfg)
-        except (AudioError, SyllableError) as exc:
-            raise StageError("speed", f"clip {rec.id}: {exc}")
-        units_by_clip[rec.id] = units
-        rates.setdefault(group, []).append(units.rate_per_s)
-    rows = speed_report(rates)
-    write_speed_csv(os.path.join(cfg.out_dir, "speed.csv"), rows)
-    write_nuclei_jsonl(os.path.join(cfg.out_dir, "nuclei.jsonl"), units_by_clip)
+    _frontend(cfg, manifest, ["speed"])
 
 
 def run_report(cfg: RunConfig, manifest: Manifest) -> None:
@@ -371,8 +465,10 @@ _RUNNERS = {
 def run_stages(cfg: RunConfig, stages=None) -> dict:
     """Run the requested stages (defaults to all) with ledger-based skipping.
 
-    Returns the updated ledger.  Raises StageError when a stage's upstream
-    artifacts are missing or a stage fails.
+    The frontend stages that miss the ledger run together, in one
+    ``_frontend`` pass, at the place of the first requested one.  Returns the
+    updated ledger.  Raises StageError when a stage's upstream artifacts are
+    missing or a stage fails.
     """
     digests = {}  # file digests taken by this call, shared by its stages
     manifest = load_manifest(cfg.manifest_path)
@@ -382,9 +478,11 @@ def run_stages(cfg: RunConfig, stages=None) -> dict:
     for stage in requested:
         if stage not in STAGES:
             raise StageError(stage, "unknown stage")
-    for stage, row in STAGE_TABLE.items():
-        if stage not in requested:
-            continue
+    misses = {}  # stage -> (its outputs, its ledger entry once it has run)
+
+    def check(stage) -> None:
+        """Add the stage to ``misses`` unless the ledger serves it."""
+        row = STAGE_TABLE[stage]
         for dep in row.deps:
             if dep in requested and STAGES.index(dep) < STAGES.index(stage):
                 continue
@@ -401,14 +499,30 @@ def run_stages(cfg: RunConfig, stages=None) -> dict:
             and entry.get("config_hash") == config_hash
             and all(os.path.isfile(p) for p in outputs)
         ):
-            continue  # ledger hit
-        _RUNNERS[stage](cfg, manifest)
-        for p in outputs:
-            digests.pop(p, None)
-        ledger[stage] = {
+            return  # ledger hit
+        misses[stage] = outputs, {
             "input_hash": input_hash,
             "config_hash": config_hash,
             "outputs": [os.path.relpath(p, cfg.out_dir) for p in outputs],
         }
+
+    def record(stage) -> None:
+        outputs, ledger[stage] = misses.pop(stage)
+        for p in outputs:
+            digests.pop(p, None)
         write_json(os.path.join(cfg.out_dir, LEDGER_NAME), ledger)
+
+    frontend = [s for s in STAGES if s in requested and s in _FRONTEND]
+    for stage in STAGES:
+        if stage not in requested or stage in frontend[1:]:
+            continue  # the first frontend stage runs them all
+        for s in frontend if stage in _FRONTEND else [stage]:
+            check(s)
+        if not misses:
+            continue  # ledger hit
+        if stage in _FRONTEND:
+            _frontend(cfg, manifest, list(misses), done=record)
+        else:
+            _RUNNERS[stage](cfg, manifest)
+            record(stage)
     return ledger

@@ -74,9 +74,13 @@ def _gate(t: np.ndarray, rate_hz: float, duration_s: float):
     start = CLIP_PAD_S
     while start + burst_len <= duration_s - CLIP_PAD_S + 1e-9:
         on, off = start, start + burst_len
-        rise = np.clip((t - on) / BURST_EDGE_S, 0.0, 1.0)
-        fall = np.clip((off - t) / BURST_EDGE_S, 0.0, 1.0)
-        gate = np.maximum(gate, 0.5 * (1 - np.cos(np.pi * rise)) * 0.5 * (1 - np.cos(np.pi * fall)))
+        # outside [on, off] the burst's rise or fall is 0, so its product is
+        # 0.0 there and leaves the gate as it was: evaluate it on [on, off] only
+        i0, i1 = np.searchsorted(t, on, "left"), np.searchsorted(t, off, "right")
+        rise = np.clip((t[i0:i1] - on) / BURST_EDGE_S, 0.0, 1.0)
+        fall = np.clip((off - t[i0:i1]) / BURST_EDGE_S, 0.0, 1.0)
+        burst = 0.5 * (1 - np.cos(np.pi * rise)) * 0.5 * (1 - np.cos(np.pi * fall))
+        gate[i0:i1] = np.maximum(gate[i0:i1], burst)
         bounds.append((on, off))
         start += period
     return gate, bounds

@@ -95,6 +95,14 @@ class TestStageGraph:
             assert after - before == expected | ({"ledger.json"} - before), stage
             before = after
 
+    def test_frontend_stages_can_run_first(self):
+        # the frontend pass runs at the first frontend stage's place, so no
+        # frontend stage may need a stage or read a file that a stage writes
+        written = {name for row in STAGE_TABLE.values() for name in row.writes}
+        for stage in pipeline._FRONTEND:
+            assert STAGE_TABLE[stage].deps == ()
+            assert not written & set(STAGE_TABLE[stage].reads), stage
+
     def test_unknown_stage(self, corpus, tmp_path):
         cfg = make_cfg(corpus, tmp_path / "o")
         with pytest.raises(StageError):
@@ -269,6 +277,13 @@ def record_runs(monkeypatch):
         monkeypatch.setitem(
             pipeline._RUNNERS, stage, lambda c, m, stage=stage: ran.append(stage)
         )
+
+    def frontend(cfg, manifest, stages, done):
+        for stage in stages:
+            ran.append(stage)
+            done(stage)
+
+    monkeypatch.setattr(pipeline, "_frontend", frontend)
     return ran
 
 
@@ -464,6 +479,188 @@ def test_oscillator_error_names_the_clip(corpus, tmp_path):
     first = min(c.id for c in manifest.clips if c.syllable_count is None)
     with pytest.raises(StageError, match=f"stage speed: clip {first}: envelope rate"):
         run_speed(make_cfg(corpus, tmp_path), manifest)
+
+
+def count_decodes(monkeypatch):
+    """Record the clip id of every load_audio and resample call."""
+    calls = {"load_audio": [], "resample": []}
+    real_load, real_resample = pipeline.load_audio, pipeline.resample
+
+    def load_audio(path, id=""):
+        calls["load_audio"].append(id)
+        return real_load(path, id=id)
+
+    def resample(clip, target_rate):
+        calls["resample"].append(clip.id)
+        return real_resample(clip, target_rate)
+
+    monkeypatch.setattr(pipeline, "load_audio", load_audio)
+    monkeypatch.setattr(pipeline, "resample", resample)
+    return calls
+
+
+def count_clip_work(monkeypatch):
+    """Record (stage, clip id) for every per-clip call of a frontend stage."""
+    work = []
+    for stage, row in pipeline._FRONTEND.items():
+
+        def per_clip(cfg, manifest, rec, clip, stage=stage, real=row.clip):
+            work.append((stage, rec.id))
+            return real(cfg, manifest, rec, clip)
+
+        monkeypatch.setitem(pipeline._FRONTEND, stage, dataclasses.replace(row, clip=per_clip))
+    return work
+
+
+def with_syllable_counts(manifest_path, ids):
+    """Give the records in ``ids`` a supplied syllable count, in place."""
+    header, *lines = Path(manifest_path).read_text().splitlines()
+    records = [json.loads(line) for line in lines]
+    for rec in records:
+        if rec["id"] in ids:
+            rec["syllable_count"] = 7
+    Path(manifest_path).write_text(
+        "\n".join([header, *(json.dumps(r) for r in records)]) + "\n"
+    )
+
+
+FRONTEND_STAGES = ["segment", "extract", "speed"]
+
+
+class TestFrontend:
+    @pytest.fixture
+    def copied_corpus(self, corpus, tmp_path):
+        copy = tmp_path / "corpus"
+        shutil.copytree(os.path.dirname(corpus[0]), copy)
+        return str(copy / os.path.basename(corpus[0]))
+
+    def test_each_clip_decoded_once_per_run(self, corpus, tmp_path, monkeypatch):
+        calls = count_decodes(monkeypatch)
+        run_stages(make_cfg(corpus, tmp_path / "o"))
+        ids = sorted(c.id for c in load_manifest(corpus[0]).clips)
+        assert calls == {"load_audio": ids, "resample": ids}
+
+    def test_each_clip_goes_to_every_stage_in_turn(self, corpus, tmp_path, monkeypatch):
+        work = count_clip_work(monkeypatch)
+        run_stages(make_cfg(corpus, tmp_path / "o"), FRONTEND_STAGES)
+        ids = sorted(c.id for c in load_manifest(corpus[0]).clips)
+        assert work == [(stage, cid) for cid in ids for stage in FRONTEND_STAGES]
+
+    def test_a_ledger_hit_does_no_clip_work(self, full_run, corpus, tmp_path, monkeypatch):
+        cfg, _ = full_run
+        out = tmp_path / "out"
+        shutil.copytree(cfg.out_dir, out)
+        os.remove(out / "speed.csv")  # only speed misses
+        calls = count_decodes(monkeypatch)
+        work = count_clip_work(monkeypatch)
+        run_stages(dataclasses.replace(cfg, out_dir=str(out)), FRONTEND_STAGES)
+        ids = sorted(c.id for c in load_manifest(corpus[0]).clips)
+        assert calls["load_audio"] == ids
+        assert work == [("speed", cid) for cid in ids]
+        assert (out / "speed.csv").read_bytes() == Path(cfg.out_dir, "speed.csv").read_bytes()
+        calls["load_audio"].clear()
+        work.clear()
+        run_stages(dataclasses.replace(cfg, out_dir=str(out)), FRONTEND_STAGES)
+        assert calls["load_audio"] == [] and work == []
+
+    def test_speed_decodes_no_clip_with_a_syllable_count(
+        self, copied_corpus, tmp_path, monkeypatch
+    ):
+        hosts = sorted(c.id for c in load_manifest(copied_corpus).by_kind("host_speech"))
+        with_syllable_counts(copied_corpus, hosts)
+        calls = count_decodes(monkeypatch)
+        cfg = make_cfg((copied_corpus,), tmp_path / "o")
+        run_stages(cfg, ["speed"])
+        ids = sorted(c.id for c in load_manifest(copied_corpus).clips)
+        assert calls["load_audio"] == [cid for cid in ids if cid not in hosts]
+        # with segment in the pass, every clip is decoded, still once
+        calls["load_audio"].clear()
+        run_stages(dataclasses.replace(cfg, out_dir=str(tmp_path / "o2")), ["segment", "speed"])
+        assert calls["load_audio"] == ids
+
+    def test_a_failing_stage_leaves_the_others_whole(
+        self, full_run, corpus, tmp_path, monkeypatch
+    ):
+        clean, _ = full_run
+        cfg = make_cfg(corpus, tmp_path / "o")
+        victim = sorted(c.id for c in load_manifest(corpus[0]).clips)[3]
+        real = pipeline.clip_vector
+
+        def failing(clip, set_id, clip_id):
+            if clip_id == victim:
+                raise ValueError("planted fault")
+            return real(clip, set_id, clip_id)
+
+        monkeypatch.setattr(pipeline, "clip_vector", failing)
+        with pytest.raises(StageError) as exc:
+            run_stages(cfg)
+        # the stage and clip that running the stages one by one fails on
+        assert str(exc.value) == f"stage extract: clip {victim} (mfcc13): planted fault"
+        assert exc.value.stage == "extract"
+        # the failed stage wrote nothing; what is left is whole and in the ledger
+        ledger = json.loads(Path(cfg.out_dir, "ledger.json").read_text())
+        clean_ledger = json.loads(Path(clean.out_dir, "ledger.json").read_text())
+        assert set(ledger) == {"segment", "speed"}
+        left = _files(cfg.out_dir) - {"ledger.json"}
+        assert left == {p for stage in ledger for p in ledger[stage]["outputs"]}
+        for stage, entry in ledger.items():
+            assert entry == clean_ledger[stage]
+        for name in left:
+            assert Path(cfg.out_dir, name).read_bytes() == Path(clean.out_dir, name).read_bytes()
+        # with the fault gone, only extract and what needs it re-run
+        monkeypatch.setattr(pipeline, "clip_vector", real)
+        work = count_clip_work(monkeypatch)
+        ran = []
+        for stage in ("pair", "train", "explain", "report"):
+            real_runner = pipeline._RUNNERS[stage]
+
+            def runner(c, m, stage=stage, real_runner=real_runner):
+                ran.append(stage)
+                real_runner(c, m)
+
+            monkeypatch.setitem(pipeline._RUNNERS, stage, runner)
+        run_stages(cfg)
+        assert {stage for stage, _ in work} == {"extract"}
+        assert ran == ["pair", "train", "explain", "report"]
+        assert _files(cfg.out_dir) == _files(clean.out_dir)
+        for name in _files(clean.out_dir) - {"ledger.json"}:
+            assert Path(cfg.out_dir, name).read_bytes() == Path(clean.out_dir, name).read_bytes()
+        assert json.loads(Path(cfg.out_dir, "ledger.json").read_text()) == clean_ledger
+
+    def test_the_earliest_failed_stage_is_raised(self, corpus, tmp_path, monkeypatch):
+        # extract fails on an earlier clip than segment; run one by one,
+        # segment would fail first
+        ids = sorted(c.id for c in load_manifest(corpus[0]).clips)
+
+        def fail_on(clip_id, real):
+            def failing(clip, *args):
+                if clip.id == clip_id:
+                    raise ValueError("planted fault")
+                return real(clip, *args)
+
+            return failing
+
+        monkeypatch.setattr(pipeline, "extract_words", fail_on(ids[5], pipeline.extract_words))
+        monkeypatch.setattr(pipeline, "clip_vector", fail_on(ids[2], pipeline.clip_vector))
+        cfg = make_cfg(corpus, tmp_path / "o")
+        with pytest.raises(StageError, match=f"^stage segment: clip {ids[5]}: planted fault$"):
+            run_stages(cfg, FRONTEND_STAGES)
+        assert _files(cfg.out_dir) == {"ledger.json", "speed.csv", "nuclei.jsonl"}
+
+    def test_an_undecodable_clip_fails_every_stage_that_needs_it(
+        self, copied_corpus, tmp_path
+    ):
+        clips = sorted(load_manifest(copied_corpus).clips, key=lambda c: c.id)
+        Path(clips[1].audio_path).write_bytes(Path(clips[1].audio_path).read_bytes()[:30])
+        cfg = make_cfg((copied_corpus,), tmp_path / "o")
+        with pytest.raises(StageError, match=f"stage segment: clip {clips[1].id} \\("):
+            run_stages(cfg, FRONTEND_STAGES)
+        assert _files(cfg.out_dir) == set()
+        # a supplied syllable count spares speed that clip
+        with_syllable_counts(copied_corpus, {clips[1].id})
+        with pytest.raises(StageError, match=f"stage segment: clip {clips[1].id} \\("):
+            run_stages(cfg, FRONTEND_STAGES)
+        assert set(json.loads(Path(cfg.out_dir, "ledger.json").read_text())) == {"speed"}
 
 
 class TestSyllableCountOverride:

@@ -8,6 +8,7 @@ from vocalkit.audio import load_audio
 from vocalkit.features.pitch import f0_contour, hz_to_semitone
 from vocalkit.manifest import load_manifest
 from vocalkit.syllables import detect_syllables
+from vocalkit import synth
 from vocalkit.synth import SynthError, SynthGroup, SynthSpec, generate
 
 
@@ -130,3 +131,43 @@ class TestGenerate:
             SynthSpec(n_clips_per_group=0, groups=(SynthGroup("En", 450.0, 4.0),))
         with pytest.raises(SynthError):
             SynthSpec(n_clips_per_group=1, groups=())
+
+
+def full_length_gate(t, rate_hz, duration_s):
+    """The gate with every burst evaluated over the whole clip."""
+    period = 1.0 / rate_hz
+    burst_len = 0.5 * period
+    gate = np.zeros_like(t)
+    bounds = []
+    start = synth.CLIP_PAD_S
+    while start + burst_len <= duration_s - synth.CLIP_PAD_S + 1e-9:
+        on, off = start, start + burst_len
+        rise = np.clip((t - on) / synth.BURST_EDGE_S, 0.0, 1.0)
+        fall = np.clip((off - t) / synth.BURST_EDGE_S, 0.0, 1.0)
+        gate = np.maximum(gate, 0.5 * (1 - np.cos(np.pi * rise)) * 0.5 * (1 - np.cos(np.pi * fall)))
+        bounds.append((on, off))
+        start += period
+    return gate, bounds
+
+
+class TestGate:
+    @pytest.mark.parametrize("sr", [16000, 44100, 48000])
+    @pytest.mark.parametrize(
+        "rate_hz, duration_s",
+        [(2.0, 2.0), (2.5, 2.0), (4.0, 2.0), (6.0, 2.0), (0.5, 3.3), (11.7, 0.83), (5.3, 1.37)],
+    )
+    def test_matches_full_length_gate(self, sr, rate_hz, duration_s):
+        t = np.arange(int(round(duration_s * sr))) / sr
+        gate, bounds = synth._gate(t, rate_hz, duration_s)
+        want_gate, want_bounds = full_length_gate(t, rate_hz, duration_s)
+        assert gate.tobytes() == want_gate.tobytes()
+        assert bounds == want_bounds
+
+    @pytest.mark.parametrize("sr", [16000, 44100, 48000])
+    def test_burst_edges_on_sample_times(self, sr):
+        # at 2.5 Hz the first burst runs from 0.05 s to 0.25 s, both sample times
+        t = np.arange(2 * sr) / sr
+        gate, bounds = synth._gate(t, 2.5, 2.0)
+        on, off = bounds[0]
+        assert on in t and off in t
+        assert gate.tobytes() == full_length_gate(t, 2.5, 2.0)[0].tobytes()
