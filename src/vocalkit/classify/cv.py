@@ -1,24 +1,21 @@
 """Cross-validation harness and the feature-set x family accuracy grid.
 
 Every (feature set, family, fold) fit of the grid is independent and seeded,
-so ``accuracy_grid`` runs them in forked worker processes, one per CPU in
-this process's affinity mask (``taskset -c 0`` runs the grid in-process).
-Fork, not spawn: a forked worker inherits the imported modules and the
-datasets, where a spawned one would re-import numpy and need the caller's
-script to guard its entry point with ``if __name__ == "__main__"``.  The
-grid is the same, byte for byte, however many workers ran it.
+so ``accuracy_grid`` maps them over ``vocalkit.workers``' fork pool, one
+worker per CPU in this process's affinity mask (``taskset -c 0`` runs the
+grid in-process).  The workers inherit the datasets through the fork; only
+each fit's task and predictions are pickled.  The grid is the same, byte
+for byte, however many workers ran it.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
-import os
-import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..artifacts import write_csv, write_json
+from ..workers import map_tasks
 from .models import ClassifyError, predict, train
 
 
@@ -130,50 +127,6 @@ def _grid_task(splits: dict, task: tuple) -> tuple:
         return None, str(exc)
 
 
-_worker_splits: dict = {}  # the grid's datasets, set by _init_worker in each worker
-
-
-def _init_worker(splits: dict) -> None:
-    global _worker_splits
-    _worker_splits = splits
-
-
-def _worker_task(task: tuple) -> tuple:
-    return _grid_task(_worker_splits, task)
-
-
-def _pool_size(n_tasks: int) -> int:
-    """One worker per usable CPU, at most one per task.  1 where fork is
-    unavailable, or unsafe because another thread might hold a lock."""
-    if (
-        not hasattr(os, "fork")
-        or not hasattr(os, "sched_getaffinity")
-        or threading.active_count() > 1
-    ):
-        return 1
-    return min(len(os.sched_getaffinity(0)), n_tasks)
-
-
-def _run_tasks(splits: dict, tasks: list) -> list:
-    """Each task's outcome, in task order.  A worker that dies raises
-    BrokenProcessPool; the pool is shut down and joined either way."""
-    workers = _pool_size(len(tasks))
-    if workers < 2:
-        return [_grid_task(splits, task) for task in tasks]
-    # multiprocessing and concurrent.futures.process load only when a pool
-    # starts, so that a run which trains nothing does not hold them in memory
-    import multiprocessing
-
-    pool = concurrent.futures.ProcessPoolExecutor(
-        workers, mp_context=multiprocessing.get_context("fork"),
-        initializer=_init_worker, initargs=(splits,),
-    )
-    try:
-        return list(pool.map(_worker_task, tasks))
-    finally:
-        pool.shutdown(wait=True, cancel_futures=True)
-
-
 def _error_report(feature_set: str, family: str, error: str) -> CVReport:
     return CVReport(
         feature_set=feature_set,
@@ -210,7 +163,7 @@ def accuracy_grid(
         (set_id, family, hyper_by_family.get(family), fold, seed)
         for set_id in splits for family in families for fold in range(folds)
     ]
-    outcomes = iter(_run_tasks(splits, tasks))
+    outcomes = iter(map_tasks(_grid_task, splits, tasks))
     grid = {}
     for set_id in datasets:
         for family in families:

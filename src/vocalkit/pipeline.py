@@ -10,7 +10,10 @@ either hash changed or a file it writes is missing.
 segment, extract and speed are the frontend: each is a per-clip function
 and a writer (_FRONTEND), and the frontend stages that miss the ledger run
 together in one pass over the clips (_frontend), which decodes and resamples
-each clip once.  That pass runs at the place of the first of them, so speed
+each clip once.  The pass maps one task per clip (_clip_task) over
+``vocalkit.workers``' fork pool, one worker per usable CPU, and runs the
+writers in this process; every file is the same, byte for byte, however many
+workers ran it.  That pass runs at the place of the first of them, so speed
 runs ahead of pair, train and explain, none of which reads its files.
 """
 
@@ -48,6 +51,7 @@ from .syllables import (
     write_nuclei_jsonl,
     write_speed_csv,
 )
+from .workers import map_tasks
 
 
 @dataclass(frozen=True)
@@ -108,9 +112,15 @@ LEDGER_NAME = "ledger.json"
 
 
 class StageError(Exception):
+    """A stage that failed; ``str()`` is "stage <stage>: <message>".  It
+    pickles, so a frontend worker can return one."""
+
     def __init__(self, stage, message):
+        super().__init__(stage, message)
         self.stage = stage
-        super().__init__(f"stage {stage}: {message}")
+
+    def __str__(self) -> str:
+        return f"stage {self.stage}: {self.args[1]}"
 
 
 @dataclass
@@ -294,47 +304,71 @@ _FRONTEND = {
 }
 
 
+def _clip_task(shared: tuple, index: int) -> list:
+    """Each frontend stage's outcome on the index-th clip in id order: its
+    per-clip result, or the StageError it failed with.
+
+    The clip is decoded and resampled once, and only when some stage needs
+    its audio; a clip that cannot be decoded fails every stage that does.
+    """
+    cfg, manifest, records, stages, held = shared
+    rec = records[index]
+    need_audio = [s for s in stages if _FRONTEND[s].needs_audio(rec)]
+    clip = undecodable = None
+    if need_audio:
+        try:
+            clip = _clip_audio(rec, need_audio[0])
+        except StageError as exc:
+            undecodable = exc
+        # ``held`` keeps this process's last clip until this one is decoded;
+        # freed first, its memory went back to the OS and was faulted in
+        # again for every clip (55,000 minor page faults per 96-clip 16 kHz
+        # pass, against 13,000)
+        held[0] = clip
+    outcomes = []
+    for stage in stages:
+        if undecodable is not None and stage in need_audio:
+            outcomes.append(undecodable)
+            continue
+        try:
+            outcomes.append(_FRONTEND[stage].clip(cfg, manifest, rec, clip))
+        except StageError as exc:
+            outcomes.append(exc)
+    return outcomes
+
+
 def _frontend(cfg: RunConfig, manifest: Manifest, stages, done=lambda stage: None) -> None:
     """Run the frontend ``stages`` (_FRONTEND keys, in STAGES order) in one
     pass over the clips in id order.
 
-    Each clip is decoded and resampled once, and only when some stage still
-    running needs its audio; every stage's per-clip function gets that clip,
-    and only their results are kept.  After the last clip each stage's writer
-    runs, then ``done(stage)``.
+    Each clip is one ``_clip_task``, mapped over ``vocalkit.workers``' fork
+    pool: the workers inherit the config, manifest and stages, and return
+    every stage's per-clip result.  After the last clip each stage's writer
+    runs, in this process, then ``done(stage)``.  A worker that dies fails
+    the pass as its first stage, with nothing written.
 
-    Failure rule: a stage that fails on a clip drops out of the pass.  It
-    writes no file, so its files and ledger entry from an earlier run stay as
-    they were.  A clip that cannot be decoded fails every stage that needs
-    its audio.  The other stages finish the pass, write their files and are
-    passed to ``done``, so ``run_stages`` records them and a re-run repeats
-    only the failed stages.  Then the earliest failed stage's error is
-    raised: the stage and clip that running the stages one after another
-    would have failed on.
+    Failure rule, applied to the outcomes in clip id order: a stage that
+    fails on a clip drops out of the pass.  It writes no file, so its files
+    and ledger entry from an earlier run stay as they were.  The other
+    stages write their files and are passed to ``done``, so ``run_stages``
+    records them and a re-run repeats only the failed stages.  Then the
+    earliest failed stage's error is raised: the stage and clip that running
+    the stages one after another would have failed on.
     """
+    records = sorted(manifest.clips, key=lambda r: r.id)
+    shared = cfg, manifest, records, stages, [None]
+    try:
+        per_clip = map_tasks(_clip_task, shared, range(len(records)))
+    except BrokenExecutor as exc:  # BrokenProcessPool: a worker process died
+        raise StageError(stages[0], f"a worker process died: {exc}") from exc
     results = {stage: [] for stage in stages}
     failed = {}
-    for rec in sorted(manifest.clips, key=lambda r: r.id):
-        running = [s for s in stages if s not in failed]
-        need_audio = [s for s in running if _FRONTEND[s].needs_audio(rec)]
-        if need_audio:
-            try:
-                # the last clip is freed only once this one is decoded; freed
-                # first, its memory went back to the OS and was faulted in
-                # again for every clip (55,000 minor page faults per 96-clip
-                # 16 kHz pass, against 13,000)
-                clip = _clip_audio(rec, need_audio[0])
-            except StageError as exc:
-                clip = None
-                failed.update(dict.fromkeys(need_audio, exc))
-                running = [s for s in running if s not in failed]
-        else:
-            clip = None
-        for stage in running:
-            try:
-                results[stage].append(_FRONTEND[stage].clip(cfg, manifest, rec, clip))
-            except StageError as exc:
-                failed[stage] = exc
+    for outcomes in per_clip:
+        for stage, outcome in zip(stages, outcomes):
+            if isinstance(outcome, StageError):
+                failed.setdefault(stage, outcome)  # its first clip in id order
+            else:
+                results[stage].append(outcome)
     for stage in stages:
         if stage not in failed:
             _FRONTEND[stage].write(cfg, results[stage])

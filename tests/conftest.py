@@ -1,3 +1,6 @@
+import concurrent.futures
+import os
+
 import numpy as np
 import pytest
 
@@ -29,6 +32,24 @@ def noise_clip(duration_s=1.0, amplitude=0.3, sr=SR, seed=0):
 
 def silence(duration_s=1.0, sr=SR):
     return AudioClip(np.zeros(int(round(duration_s * sr))) , sr)
+
+
+def usable_cpus(monkeypatch, n):
+    """Make the process's CPU affinity mask hold n CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def count_pools(monkeypatch):
+    """Record the worker count of every pool vocalkit creates."""
+    created = []
+    real = concurrent.futures.ProcessPoolExecutor
+
+    def pool(max_workers, **kwargs):
+        created.append(max_workers)
+        return real(max_workers, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", pool)
+    return created
 
 
 @pytest.fixture

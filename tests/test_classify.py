@@ -36,6 +36,8 @@ from vocalkit.classify.trees import (
     sort_columns,
 )
 
+from conftest import count_pools, usable_cpus
+
 
 def softmax_cross_entropy(scores, y):
     """Mean cross-entropy of softmax(scores) against integer labels y."""
@@ -609,24 +611,6 @@ class TestGrid:
         assert lines[1].startswith("setA,")
         assert float(cell) > 0.9 and len(cell.split(".")[1]) == 4
         assert lines[2] == "tiny,ERR"
-
-
-def usable_cpus(monkeypatch, n):
-    """Make the process's CPU affinity mask hold n CPUs."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
-
-
-def count_pools(monkeypatch):
-    """Record the worker count of every pool accuracy_grid creates."""
-    created = []
-    real = concurrent.futures.ProcessPoolExecutor
-
-    def pool(max_workers, **kwargs):
-        created.append(max_workers)
-        return real(max_workers, **kwargs)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", pool)
-    return created
 
 
 def fail_in_worker(parent_pid, fail):

@@ -1,6 +1,6 @@
-"""Source hygiene: no module under src/ imports a name it never uses or
-opens a file for writing outside vocalkit.artifacts, and every name a demo
-imports from vocalkit exists."""
+"""Source hygiene: no module under src/ imports a name it never uses, opens
+a file for writing outside vocalkit.artifacts or starts processes outside
+vocalkit.workers, and every name a demo imports from vocalkit exists."""
 
 import ast
 import importlib
@@ -112,3 +112,39 @@ def test_only_artifacts_opens_files_for_writing(path):
     makes it land whole."""
     writes = _write_opens(ast.parse(path.read_text(), filename=str(path)))
     assert not writes, f"{path.relative_to(SRC)}: opens files for writing at {writes}"
+
+
+def _pool_uses(tree: ast.Module) -> list:
+    """Line of each import of multiprocessing or of a process pool, and of
+    each use of ``ProcessPoolExecutor``."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found += [
+                node.lineno for a in node.names
+                if a.name.split(".")[0] == "multiprocessing"
+                or a.name == "concurrent.futures.process"
+            ]
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if module.split(".")[0] == "multiprocessing" or module == "concurrent.futures.process":
+                found.append(node.lineno)
+            found += [node.lineno for a in node.names if a.name == "ProcessPoolExecutor"]
+        elif isinstance(node, ast.Attribute) and node.attr == "ProcessPoolExecutor":
+            found.append(node.lineno)
+    return found
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p != SRC / "workers.py"],
+    ids=lambda p: str(p.relative_to(SRC)),
+)
+def test_only_workers_starts_processes(path):
+    """Every parallel stage maps its tasks over vocalkit.workers' one fork
+    pool."""
+    uses = _pool_uses(ast.parse(path.read_text(), filename=str(path)))
+    assert not uses, f"{path.relative_to(SRC)}: imports or starts a process pool at lines {uses}"
+
+
+def test_the_pool_check_sees_the_pool():
+    assert _pool_uses(ast.parse((SRC / "workers.py").read_text()))

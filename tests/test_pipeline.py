@@ -2,6 +2,7 @@ import dataclasses
 import json
 import multiprocessing
 import os
+import pickle
 import shutil
 import signal
 from pathlib import Path
@@ -22,24 +23,27 @@ from vocalkit.pipeline import (
 )
 from vocalkit.synth import SynthGroup, SynthSpec, generate
 
+from conftest import count_pools, usable_cpus
+
 FEATURE_SETS = ("mfcc13", "gemaps_lite")
 FAMILIES = ("k_nearest_neighbors", "logistic_regression")
 
 
+SPEC = SynthSpec(
+    n_clips_per_group=4,
+    groups=(
+        SynthGroup("En", planted_f0_hz=450.0, planted_am_rate_hz=4.0),
+        SynthGroup("Ja", planted_f0_hz=550.0, planted_am_rate_hz=6.0),
+    ),
+    seed=0,
+    noise_snr_db=40.0,
+    n_scenes=2,
+)
+
+
 @pytest.fixture(scope="module")
 def corpus(tmp_path_factory):
-    root = tmp_path_factory.mktemp("corpus")
-    spec = SynthSpec(
-        n_clips_per_group=4,
-        groups=(
-            SynthGroup("En", planted_f0_hz=450.0, planted_am_rate_hz=4.0),
-            SynthGroup("Ja", planted_f0_hz=550.0, planted_am_rate_hz=6.0),
-        ),
-        seed=0,
-        noise_snr_db=40.0,
-        n_scenes=2,
-    )
-    manifest_path, sidecar_path = generate(spec, root)
+    manifest_path, sidecar_path = generate(SPEC, tmp_path_factory.mktemp("corpus"))
     return manifest_path, sidecar_path
 
 
@@ -70,6 +74,34 @@ def _files(root) -> set:
     return {
         os.path.relpath(os.path.join(d, f), root) for d, _, names in os.walk(root) for f in names
     }
+
+
+def _contents(root) -> dict:
+    """Every file under root, relative path -> bytes."""
+    return {name: Path(root, name).read_bytes() for name in _files(root)}
+
+
+def fails_alike_on_one_and_two_cpus(monkeypatch, cfg_for, stages=None):
+    """run_stages on 1 and on 2 usable CPUs, into the output dir of
+    ``cfg_for(cpus)``: it must fail alike on both, with the same error text,
+    files and ledger.  Returns the StageError and the config of the 2-CPU run."""
+    seen = {}
+    for cpus in (1, 2):
+        usable_cpus(monkeypatch, cpus)
+        cfg = cfg_for(cpus)
+        with pytest.raises(StageError) as exc:
+            run_stages(cfg, stages)
+        seen[cpus] = str(exc.value), exc.value.stage, _contents(cfg.out_dir)
+    assert seen[1] == seen[2]
+    return exc.value, cfg
+
+
+def test_a_stage_error_survives_pickling():
+    # a frontend worker returns the StageError a clip failed with
+    err = pickle.loads(pickle.dumps(StageError("extract", "clip x: boom")))
+    assert type(err) is StageError
+    assert str(err) == "stage extract: clip x: boom"
+    assert err.stage == "extract"
 
 
 class TestStageGraph:
@@ -178,6 +210,7 @@ class TestFullRun:
             return real(clip)
 
         monkeypatch.setattr(audio, "power_spectrogram", counting)
+        usable_cpus(monkeypatch, 1)  # the counter sees this process only
         cfg = make_cfg(
             corpus, tmp_path, feature_sets=("filterbank24", "mfcc13", "plp13", "gemaps_lite")
         )
@@ -482,7 +515,9 @@ def test_oscillator_error_names_the_clip(corpus, tmp_path):
 
 
 def count_decodes(monkeypatch):
-    """Record the clip id of every load_audio and resample call."""
+    """Record the clip id of every load_audio and resample call.  Pins the
+    run to 1 usable CPU: the counter sees this process only."""
+    usable_cpus(monkeypatch, 1)
     calls = {"load_audio": [], "resample": []}
     real_load, real_resample = pipeline.load_audio, pipeline.resample
 
@@ -500,7 +535,9 @@ def count_decodes(monkeypatch):
 
 
 def count_clip_work(monkeypatch):
-    """Record (stage, clip id) for every per-clip call of a frontend stage."""
+    """Record (stage, clip id) for every per-clip call of a frontend stage.
+    Pins the run to 1 usable CPU: the counter sees this process only."""
+    usable_cpus(monkeypatch, 1)
     work = []
     for stage, row in pipeline._FRONTEND.items():
 
@@ -582,7 +619,6 @@ class TestFrontend:
         self, full_run, corpus, tmp_path, monkeypatch
     ):
         clean, _ = full_run
-        cfg = make_cfg(corpus, tmp_path / "o")
         victim = sorted(c.id for c in load_manifest(corpus[0]).clips)[3]
         real = pipeline.clip_vector
 
@@ -592,11 +628,12 @@ class TestFrontend:
             return real(clip, set_id, clip_id)
 
         monkeypatch.setattr(pipeline, "clip_vector", failing)
-        with pytest.raises(StageError) as exc:
-            run_stages(cfg)
+        exc, cfg = fails_alike_on_one_and_two_cpus(
+            monkeypatch, lambda cpus: make_cfg(corpus, tmp_path / f"o{cpus}")
+        )
         # the stage and clip that running the stages one by one fails on
-        assert str(exc.value) == f"stage extract: clip {victim} (mfcc13): planted fault"
-        assert exc.value.stage == "extract"
+        assert str(exc) == f"stage extract: clip {victim} (mfcc13): planted fault"
+        assert exc.stage == "extract"
         # the failed stage wrote nothing; what is left is whole and in the ledger
         ledger = json.loads(Path(cfg.out_dir, "ledger.json").read_text())
         clean_ledger = json.loads(Path(clean.out_dir, "ledger.json").read_text())
@@ -642,25 +679,67 @@ class TestFrontend:
 
         monkeypatch.setattr(pipeline, "extract_words", fail_on(ids[5], pipeline.extract_words))
         monkeypatch.setattr(pipeline, "clip_vector", fail_on(ids[2], pipeline.clip_vector))
-        cfg = make_cfg(corpus, tmp_path / "o")
-        with pytest.raises(StageError, match=f"^stage segment: clip {ids[5]}: planted fault$"):
-            run_stages(cfg, FRONTEND_STAGES)
+        exc, cfg = fails_alike_on_one_and_two_cpus(
+            monkeypatch, lambda cpus: make_cfg(corpus, tmp_path / f"o{cpus}"), FRONTEND_STAGES
+        )
+        assert str(exc) == f"stage segment: clip {ids[5]}: planted fault"
         assert _files(cfg.out_dir) == {"ledger.json", "speed.csv", "nuclei.jsonl"}
 
     def test_an_undecodable_clip_fails_every_stage_that_needs_it(
-        self, copied_corpus, tmp_path
+        self, copied_corpus, tmp_path, monkeypatch
     ):
         clips = sorted(load_manifest(copied_corpus).clips, key=lambda c: c.id)
         Path(clips[1].audio_path).write_bytes(Path(clips[1].audio_path).read_bytes()[:30])
-        cfg = make_cfg((copied_corpus,), tmp_path / "o")
-        with pytest.raises(StageError, match=f"stage segment: clip {clips[1].id} \\("):
-            run_stages(cfg, FRONTEND_STAGES)
+
+        def cfg_for(cpus):
+            return make_cfg((copied_corpus,), tmp_path / f"o{cpus}")
+
+        exc, cfg = fails_alike_on_one_and_two_cpus(monkeypatch, cfg_for, FRONTEND_STAGES)
+        assert str(exc).startswith(f"stage segment: clip {clips[1].id} (")
         assert _files(cfg.out_dir) == set()
         # a supplied syllable count spares speed that clip
         with_syllable_counts(copied_corpus, {clips[1].id})
-        with pytest.raises(StageError, match=f"stage segment: clip {clips[1].id} \\("):
-            run_stages(cfg, FRONTEND_STAGES)
+        exc, cfg = fails_alike_on_one_and_two_cpus(monkeypatch, cfg_for, FRONTEND_STAGES)
+        assert str(exc).startswith(f"stage segment: clip {clips[1].id} (")
         assert set(json.loads(Path(cfg.out_dir, "ledger.json").read_text())) == {"speed"}
+
+    @pytest.mark.parametrize("sample_rate", [16000, 48000])
+    def test_a_full_run_is_the_same_on_one_and_two_cpus(
+        self, tmp_path, monkeypatch, sample_rate
+    ):
+        manifest_path, _ = generate(
+            dataclasses.replace(SPEC, sample_rate=sample_rate), tmp_path / "corpus"
+        )
+        created = count_pools(monkeypatch)
+        contents = {}
+        for cpus in (1, 2):
+            usable_cpus(monkeypatch, cpus)
+            cfg = make_cfg((manifest_path,), tmp_path / f"o{cpus}")
+            run_stages(cfg)
+            contents[cpus] = _contents(cfg.out_dir)
+        assert created == [2, 2]  # the frontend pass and the grid, on 2 CPUs only
+        assert contents[1] == contents[2]
+
+    def test_a_killed_worker_fails_the_pass(self, full_run, tmp_path, monkeypatch):
+        cfg, _ = full_run
+        out = tmp_path / "out"
+        shutil.copytree(cfg.out_dir, out)
+        # so the ledger re-runs extract and speed, in one pass
+        os.remove(out / "features_mfcc13.csv")
+        os.remove(out / "speed.csv")
+        before = _contents(out)
+        parent = os.getpid()
+
+        def die_in_worker(*args, **kwargs):
+            assert os.getpid() != parent, "a clip's features were computed in the parent process"
+            os.kill(os.getpid(), signal.SIGKILL)
+
+        usable_cpus(monkeypatch, 2)
+        monkeypatch.setattr(pipeline, "clip_vector", die_in_worker)
+        with pytest.raises(StageError, match="^stage extract: a worker process died"):
+            run_stages(dataclasses.replace(cfg, out_dir=str(out)), FRONTEND_STAGES)
+        assert multiprocessing.active_children() == []
+        assert _contents(out) == before
 
 
 class TestSyllableCountOverride:
