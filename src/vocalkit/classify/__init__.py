@@ -3,6 +3,7 @@ from .models import (
     FAMILIES,
     ClassifyError,
     TrainedModel,
+    boosted_proba,
     lr_loss_grad,
     predict,
     predict_proba,
@@ -23,6 +24,7 @@ __all__ = [
     "FAMILIES",
     "ClassifyError",
     "TrainedModel",
+    "boosted_proba",
     "lr_loss_grad",
     "predict",
     "predict_proba",

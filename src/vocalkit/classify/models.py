@@ -85,13 +85,27 @@ def _train_gbt(X, y, hyper, seed, n_classes):
     return {"trees": trees}
 
 
-def _predict_gbt(model: TrainedModel, X):
-    scores = np.zeros((len(X), model.n_classes))
+def boosted_proba(model: TrainedModel, n_rows: int, leaves) -> np.ndarray:
+    """Class probabilities of n_rows rows from a boosted model.
+
+    ``leaves(tree)`` is (values, index): the leaf values of the rows the
+    tree routes, and which of them each of the n_rows rows is (None: the
+    rows themselves).  Trees add ``learning_rate * leaf`` to the scores in
+    boosting order, so the probabilities do not depend on how ``leaves``
+    routes the rows.
+    """
+    scores = np.zeros((model.n_classes, n_rows))  # class-major: each add is contiguous
     lr = model.hyper["learning_rate"]
     for round_trees in model.params["trees"]:
         for k, tree in enumerate(round_trees):
-            scores[:, k] += lr * tree.predict(X)
-    return _softmax(scores)
+            values, index = leaves(tree)
+            step = lr * values
+            scores[k] += step if index is None else step.take(index)
+    return _softmax(np.ascontiguousarray(scores.T))
+
+
+def _predict_gbt(model: TrainedModel, X):
+    return boosted_proba(model, len(X), lambda tree: (tree.predict(X), None))
 
 
 def lr_loss_grad(W, X1, onehot, l2):

@@ -49,6 +49,11 @@ class Tree:
         threshold = np.where(internal, self.threshold, np.inf)
         return depth, feature, threshold, children
 
+    @cached_property
+    def split_features(self) -> tuple:
+        """The features its splits read, ascending."""
+        return tuple(np.unique(self.feature[self.feature >= 0]).tolist())
+
     def predict(self, X: np.ndarray) -> np.ndarray:
         """Route all rows to their leaf and return the leaf values.
 

@@ -306,14 +306,19 @@ _FRONTEND = {
 
 def _clip_task(shared: tuple, index: int) -> list:
     """Each frontend stage's outcome on the index-th clip in id order: its
-    per-clip result, or the StageError it failed with.
+    per-clip result, the StageError it failed with, or None for a stage
+    that already failed on an earlier clip of this process.
 
-    The clip is decoded and resampled once, and only when some stage needs
-    its audio; a clip that cannot be decoded fails every stage that does.
+    The clip is decoded and resampled once, and only when some stage that
+    has not failed needs its audio; a clip that cannot be decoded fails
+    every such stage.  A process sees its clips in increasing id order, so
+    the stages it skips have failed on an earlier clip, whose error the
+    failure rule of ``_frontend`` keeps.
     """
-    cfg, manifest, records, stages, held = shared
+    cfg, manifest, records, stages, held, failed = shared
     rec = records[index]
-    need_audio = [s for s in stages if _FRONTEND[s].needs_audio(rec)]
+    live = [s for s in stages if s not in failed]
+    need_audio = [s for s in live if _FRONTEND[s].needs_audio(rec)]
     clip = undecodable = None
     if need_audio:
         try:
@@ -327,13 +332,18 @@ def _clip_task(shared: tuple, index: int) -> list:
         held[0] = clip
     outcomes = []
     for stage in stages:
-        if undecodable is not None and stage in need_audio:
-            outcomes.append(undecodable)
-            continue
-        try:
-            outcomes.append(_FRONTEND[stage].clip(cfg, manifest, rec, clip))
-        except StageError as exc:
-            outcomes.append(exc)
+        if stage not in live:
+            outcome = None
+        elif undecodable is not None and stage in need_audio:
+            outcome = undecodable
+        else:
+            try:
+                outcome = _FRONTEND[stage].clip(cfg, manifest, rec, clip)
+            except StageError as exc:
+                outcome = exc
+        if isinstance(outcome, StageError):
+            failed.add(stage)
+        outcomes.append(outcome)
     return outcomes
 
 
@@ -348,15 +358,16 @@ def _frontend(cfg: RunConfig, manifest: Manifest, stages, done=lambda stage: Non
     the pass as its first stage, with nothing written.
 
     Failure rule, applied to the outcomes in clip id order: a stage that
-    fails on a clip drops out of the pass.  It writes no file, so its files
-    and ledger entry from an earlier run stay as they were.  The other
+    fails on a clip drops out of the pass, and each process stops running it
+    on its later clips.  It writes no file, so its files and ledger entry
+    from an earlier run stay as they were.  The other
     stages write their files and are passed to ``done``, so ``run_stages``
     records them and a re-run repeats only the failed stages.  Then the
     earliest failed stage's error is raised: the stage and clip that running
     the stages one after another would have failed on.
     """
     records = sorted(manifest.clips, key=lambda r: r.id)
-    shared = cfg, manifest, records, stages, [None]
+    shared = cfg, manifest, records, stages, [None], set()
     try:
         per_clip = map_tasks(_clip_task, shared, range(len(records)))
     except BrokenExecutor as exc:  # BrokenProcessPool: a worker process died
@@ -365,8 +376,10 @@ def _frontend(cfg: RunConfig, manifest: Manifest, stages, done=lambda stage: Non
     failed = {}
     for outcomes in per_clip:
         for stage, outcome in zip(stages, outcomes):
+            if stage in failed:
+                continue
             if isinstance(outcome, StageError):
-                failed.setdefault(stage, outcome)  # its first clip in id order
+                failed[stage] = outcome  # its first clip in id order
             else:
                 results[stage].append(outcome)
     for stage in stages:

@@ -18,8 +18,10 @@ from vocalkit.explain import (
     shapley_values,
     write_attribution_csv,
     write_correlation_csv,
+    _ROW_CUT,
+    _design_rows,
 )
-from vocalkit.classify import predict_proba, train
+from vocalkit.classify import Tree, predict_proba, train
 from vocalkit.features import FeatureVector
 from vocalkit.pairing import ClipRecord
 
@@ -46,7 +48,11 @@ class TestDimTypes:
 def permutation_shapley_reference(model, background, x, n_permutations, seed):
     """The per-row loop the batched permutation design replaced: each
     permutation copies the previous row and sets one more feature to x."""
-    target = int(np.argmax(predict_proba(model, x[None, :])[0]))
+    if callable(model):
+        value = lambda rows: np.array([float(model(r)) for r in rows])
+    else:
+        target = int(np.argmax(predict_proba(model, x[None, :])[0]))
+        value = lambda rows: predict_proba(model, rows)[:, target]
     d = len(x)
     rng = np.random.default_rng(seed)
     rows = np.empty((n_permutations * (d + 1), d))
@@ -61,7 +67,7 @@ def permutation_shapley_reference(model, background, x, n_permutations, seed):
             z = z.copy()
             z[i] = x[i]
             rows[p * (d + 1) + step + 1] = z
-    evals = predict_proba(model, rows)[:, target]
+    evals = value(rows)
     phi = np.zeros(d)
     for p in range(n_permutations):
         phi[orders[p]] += np.diff(evals[p * (d + 1):(p + 1) * (d + 1)])
@@ -224,6 +230,171 @@ class TestMeanAbsShap:
     def test_name_length_mismatch(self, rng):
         with pytest.raises(ExplainError):
             mean_abs_shap(lambda r: 0.0, rng.standard_normal((5, 3)), ["a", "b"])
+
+
+def mean_abs_shap_reference(model, X, sample_size, seed, n_permutations):
+    """mean_abs_shap's per-feature values, each row from the per-row reference."""
+    rng = np.random.default_rng(seed)
+    sample_idx = np.sort(rng.choice(len(X), size=sample_size, replace=False))
+    bg_idx = np.sort(rng.choice(len(X), size=min(SHAP_BACKGROUND_SIZE, len(X)), replace=False))
+    total = np.zeros(X.shape[1])
+    for pos, i in enumerate(sample_idx):
+        total += np.abs(permutation_shapley_reference(
+            model, X[bg_idx], X[i], n_permutations, seed=seed + 1000003 * (pos + 1)
+        ))
+    return total / sample_size
+
+
+def random_label_gbt(n, d, n_classes, seed, **hyper):
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((n, d))
+    y = np.arange(n) % n_classes
+    rng.shuffle(y)
+    return X, train("gradient_boosted_trees", X, y, hyper={"n_rounds": 12, **hyper}, seed=seed)
+
+
+def leaf_only_tree(value):
+    one = np.array([-1])
+    return Tree(one, np.array([0.0]), one, one, np.array([value]))
+
+
+def split_feature_counts(model):
+    return [len(tree.split_features) for trees in model.params["trees"] for tree in trees]
+
+
+def compact_and_wide(model, d):
+    """Whether some tree routes compact rows and some routes every design row."""
+    compact = [_ROW_CUT * (m + 1) <= d + 1 for m in split_feature_counts(model)]
+    return any(compact), not all(compact)
+
+
+def stumps_gbt():
+    return random_label_gbt(40, 6, 2, 1, max_depth=1)
+
+
+def deep_gbt():
+    return random_label_gbt(30, 24, 2, 2, max_depth=4)
+
+
+def three_class_deep_gbt():
+    return random_label_gbt(30, 21, 3, 3, max_depth=3)
+
+
+def gbt_with_a_leaf_only_tree():
+    X, model = random_label_gbt(40, 8, 2, 4, max_depth=2)
+    model.params["trees"][2][1] = leaf_only_tree(0.25)
+    return X, model
+
+
+def gbt_with_nan():
+    X, model = random_label_gbt(40, 7, 2, 5, max_depth=2)
+    X = X.copy()
+    X[::3, 1] = np.nan  # in background rows and explained rows alike
+    X[1::4, 4] = np.nan
+    return X, model
+
+
+class TestCompactRows:
+    """Each boosted tree routes only the design rows its split features tell
+    apart; the attributions are the per-row reference's, bit for bit."""
+
+    @pytest.mark.parametrize("make", [
+        stumps_gbt, deep_gbt, three_class_deep_gbt, gbt_with_a_leaf_only_tree, gbt_with_nan,
+    ])
+    def test_matches_the_per_row_reference(self, make):
+        X, model = make()
+        for i in (0, 7, 20):
+            phi = shapley_values(model, X[1::2], X[i], n_permutations=15, seed=i)
+            ref = permutation_shapley_reference(model, X[1::2], X[i], 15, seed=i)
+            assert phi.tobytes() == ref.tobytes()
+        rows = mean_abs_shap(
+            model, X, [f"f{i}" for i in range(X.shape[1])], sample_size=5, seed=3,
+            n_permutations=10,
+        )
+        want = mean_abs_shap_reference(model, X, 5, 3, 10)
+        got = np.array([dict((r.feature_name, r.mean_abs_shap) for r in rows)[f"f{i}"]
+                        for i in range(X.shape[1])])
+        assert got.tobytes() == want.tobytes()
+
+    def test_the_cases_cover_what_they_name(self):
+        _, stumps = stumps_gbt()
+        assert set(split_feature_counts(stumps)) == {1}
+        for make in (deep_gbt, three_class_deep_gbt):
+            X, model = make()
+            assert compact_and_wide(model, X.shape[1]) == (True, True)
+        assert three_class_deep_gbt()[1].n_classes == 3
+        assert 0 in split_feature_counts(gbt_with_a_leaf_only_tree()[1])
+        X, _ = gbt_with_nan()
+        assert np.isnan(X[0]).any() and np.isnan(X[1::2]).any()
+
+    def test_a_callable_matches_the_per_row_reference(self, rng):
+        background = rng.standard_normal((6, 5))
+        model = lambda r: float(np.tanh(r[0] * r[3]) + r[1] ** 2 - r[4])
+        for seed in range(3):
+            x = rng.standard_normal(5)
+            phi = shapley_values(model, background, x, n_permutations=12, seed=seed)
+            ref = permutation_shapley_reference(model, background, x, 12, seed=seed)
+            assert phi.tobytes() == ref.tobytes()
+        X = rng.standard_normal((9, 5))
+        rows = mean_abs_shap(model, X, list("abcde"), sample_size=4, seed=1, n_permutations=8)
+        want = mean_abs_shap_reference(model, X, 4, 1, 8)
+        got = [r.mean_abs_shap for r in rows]
+        assert got == [want["abcde".index(r.feature_name)] for r in rows]
+
+    def test_each_tree_routes_only_the_rows_it_tells_apart(self, monkeypatch):
+        X, model = deep_gbt()
+        d, n_permutations = X.shape[1], 15
+        routed = []
+        real = Tree.predict
+
+        def predict(tree, rows):
+            routed.append((len(tree.split_features), len(rows)))
+            return real(tree, rows)
+
+        monkeypatch.setattr(Tree, "predict", predict)
+        shapley_values(model, X[1::2], X[0], n_permutations=n_permutations, seed=0)
+        routed = routed[-len(split_feature_counts(model)):]  # after the target's prediction
+        for m, n_rows in routed:
+            compact = _ROW_CUT * (m + 1) <= d + 1
+            assert n_rows == n_permutations * ((m if compact else d) + 1)
+
+    def test_design_rows(self, rng):
+        n_perm, d = 7, 9
+        rank = np.argsort(np.stack([rng.permutation(d) for _ in range(n_perm)]), axis=1)
+        x, base = rng.standard_normal(d), rng.standard_normal((n_perm, d))
+        design = np.where(rank[:, None, :] < np.arange(d + 1)[None, :, None], x, base[:, None, :])
+        design = design.reshape(-1, d)
+        rows, index = _design_rows(x, base, rank, range(d))
+        assert rows.tobytes() == design.tobytes() and index is None
+        for features in ((), (4,), (0, 5, 8), (1, 2, 3, 6)):
+            rows, index = _design_rows(x, base, rank, features)
+            m = len(features)
+            assert rows.shape == (n_perm * (m + 1), d)
+            assert np.array_equal(rows[index][:, list(features)], design[:, list(features)])
+            # each permutation's compact rows are distinct, in switching order
+            assert np.array_equal(index.reshape(n_perm, d + 1)[:, [0, -1]],
+                                  np.arange(n_perm)[:, None] * (m + 1) + [0, m])
+
+
+class TestMeanAbsShapSizes:
+    @pytest.mark.parametrize("X", [np.empty((0, 3)), np.empty(0), np.zeros(3)])
+    def test_no_rows(self, X):
+        with pytest.raises(ExplainError, match="at least one row"):
+            mean_abs_shap(lambda r: 0.0, X, ["a", "b", "c"])
+
+    @pytest.mark.parametrize("sample_size", [0, -3])
+    def test_sample_size_below_one(self, rng, sample_size):
+        message = f"sample_size must be at least 1, got {sample_size}"
+        with pytest.raises(ExplainError, match=message):
+            mean_abs_shap(lambda r: 0.0, rng.standard_normal((5, 3)), ["a", "b", "c"],
+                          sample_size=sample_size)
+
+    def test_none_and_oversized_sample_every_row(self, rng):
+        X = rng.standard_normal((4, 2))
+        model = lambda r: float(r[0] - 2 * r[1])
+        rows = [mean_abs_shap(model, X, ["a", "b"], sample_size=s, n_permutations=5)
+                for s in (None, 4, 9)]
+        assert rows[0] == rows[1] == rows[2]
 
 
 class TestPearson:

@@ -21,6 +21,7 @@ from vocalkit.pipeline import (
     run_speed,
     run_stages,
 )
+from vocalkit.syllables import SyllableError
 from vocalkit.synth import SynthGroup, SynthSpec, generate
 
 from conftest import count_pools, usable_cpus
@@ -702,6 +703,39 @@ class TestFrontend:
         exc, cfg = fails_alike_on_one_and_two_cpus(monkeypatch, cfg_for, FRONTEND_STAGES)
         assert str(exc).startswith(f"stage segment: clip {clips[1].id} (")
         assert set(json.loads(Path(cfg.out_dir, "ledger.json").read_text())) == {"speed"}
+
+    def test_a_failed_stage_runs_on_no_later_clip(self, corpus, tmp_path, monkeypatch):
+        # speed fails on every clip; each process runs it on its first clip only
+        ids = sorted(c.id for c in load_manifest(corpus[0]).clips)
+        log = {}
+
+        def failing(clip, osc_cfg):
+            with open(log["path"], "a") as fh:
+                fh.write(f"{os.getpid()} {clip.id}\n")
+            raise SyllableError("planted fault")
+
+        def cfg_for(cpus):
+            log["path"] = tmp_path / f"speed_calls{cpus}"
+            log["path"].touch()
+            return make_cfg(corpus, tmp_path / f"o{cpus}")
+
+        monkeypatch.setattr(pipeline, "detect_syllables", failing)
+        exc, cfg = fails_alike_on_one_and_two_cpus(monkeypatch, cfg_for, FRONTEND_STAGES)
+        assert str(exc) == f"stage speed: clip {ids[0]}: planted fault"
+        assert set(json.loads(Path(cfg.out_dir, "ledger.json").read_text())) == {
+            "segment", "extract"
+        }
+        for cpus in (1, 2):
+            lines = (tmp_path / f"speed_calls{cpus}").read_text().splitlines()
+            calls = [line.split() for line in lines]
+            pids = [pid for pid, _ in calls]
+            assert len(pids) == len(set(pids)) <= cpus  # once per process
+            assert ids[0] in [cid for _, cid in calls]
+        # alone in the pass, the failed stage leaves no clip to decode
+        calls = count_decodes(monkeypatch)
+        with pytest.raises(StageError, match=f"^stage speed: clip {ids[0]}: planted fault$"):
+            run_stages(make_cfg(corpus, tmp_path / "alone"), ["speed"])
+        assert calls["load_audio"] == [ids[0]]
 
     @pytest.mark.parametrize("sample_rate", [16000, 48000])
     def test_a_full_run_is_the_same_on_one_and_two_cpus(
