@@ -1,15 +1,19 @@
 """Feature attribution and correlation analysis.
 
-Shapley values are estimated model-agnostically by permutation sampling
-(exact subset enumeration available for small dimensionality); the value
-function is the predicted probability of the instance's argmax class.
+Shapley values are estimated model-agnostically by permutation sampling; the
+value function is the predicted probability of the instance's argmax class.
+``shapley_values(..., exhaustive=True)`` enumerates every feature subset
+instead (d <= 16); ``mean_abs_shap`` always samples.
 An instance's sampled permutations are evaluated in one batch, a design of
 d + 1 rows per permutation.  A boosted tree tells apart only the m + 1 of
-them at which one of its m split features switches, so it routes just those
-(the structure behind TreeSHAP; Lundberg et al., Nature MI 2020), with the
-same values, bit for bit, as routing every row.
+them at which one of its m split features switches, so it routes just those.
+The model's scores are added up over the rows that the union of all its
+trees' split features tells apart, when that union is small, and otherwise
+over every design row (the structure behind TreeSHAP; Lundberg et al.,
+Nature MI 2020).  The values are the same, bit for bit, as routing and
+scoring every design row.
 Pearson correlation against matched host-speech features comes with a
-seeded random-pairing baseline.
+seeded random-pairing baseline; non-finite input is an error.
 """
 
 from __future__ import annotations
@@ -120,36 +124,63 @@ def _value_fn(model):
 
 
 def _boosted_design_values(model):
-    """``sampled`` of _value_fn for a boosted model: each tree routes only the
-    design rows its split features tell apart, and trees that split on the
-    same features share those rows.  A tree that would route more than
-    1/_ROW_CUT of the design rows routes them all, in the group of every
-    feature.  Each row reaches the same leaf as in the full design, and
-    ``boosted_proba`` adds the trees up in the same order, so the values are
-    the same, bit for bit."""
+    """``sampled`` of _value_fn for a boosted model.
+
+    Each tree routes only the design rows its split features tell apart, and
+    trees that split on the same features share those rows (a group); a
+    group's rows are freed after its last tree.  A tree that would route more
+    than 1/_ROW_CUT of the design rows is in the group of every feature.
+
+    The scores are added up in one space of rows.  When the union U of all
+    the trees' split features passes the same cut, that space is U's compact
+    rows: design rows that agree on U agree on every split, so ``boosted_proba``
+    scores P*(|U|+1) rows and one ``take`` spreads the probabilities over the
+    P*(d+1) design rows (every tree's features lie in U, so no tree is in the
+    every-feature group).  Otherwise the space is every design row.  Each row
+    adds the same ``learning_rate * leaf`` values in the same order, and the
+    softmax works row by row, so the values are the same, bit for bit."""
     d = model.feature_dim
+    trees = [tree for round_trees in model.params["trees"] for tree in round_trees]
 
-    def group(tree):  # None: every feature
-        features = tree.split_features
-        return features if _ROW_CUT * (len(features) + 1) <= d + 1 else None
+    def compact(features):
+        return _ROW_CUT * (len(features) + 1) <= d + 1
 
-    uses = Counter(group(tree) for round_trees in model.params["trees"] for tree in round_trees)
+    space = tuple(sorted(set().union(*(tree.split_features for tree in trees))))
+    if not compact(space):
+        space = tuple(range(d))
+    key_of = {
+        id(tree): tree.split_features if compact(tree.split_features) else space
+        for tree in trees
+    }
+    uses = Counter(key_of[id(tree)] for tree in trees)
 
     def sampled(target, x, base, rank):
         left, built = dict(uses), {}
+        if len(space) == d:
+            n_rows, space_index = len(base) * (d + 1), None
+        else:
+            rows, space_index = _design_rows(x, base, rank, space)
+            built[space] = rows, None
+            n_rows = len(rows)
+            # the first design step of each row of the space
+            first = np.flatnonzero(np.diff(space_index, prepend=-1))
 
         def leaves(tree):
-            key = group(tree)
+            key = key_of[id(tree)]
             design = built.get(key)
             if design is None:
-                design = built[key] = _design_rows(x, base, rank, range(d) if key is None else key)
+                rows, index = _design_rows(x, base, rank, key)
+                if space_index is not None:
+                    index = index.take(first)
+                design = built[key] = rows, index
             left[key] -= 1
             if not left[key]:  # the group's last tree: free its rows
                 del built[key]
             rows, index = design
             return tree.predict(rows), index
 
-        return boosted_proba(model, len(base) * (d + 1), leaves)[:, target]
+        values = boosted_proba(model, n_rows, leaves)[:, target]
+        return values if space_index is None else values.take(space_index)
 
     return sampled
 
@@ -321,7 +352,10 @@ def mean_abs_shap(
 
 
 def pearson(x, y) -> tuple[float, float]:
-    """Pearson r and the two-tailed p-value from Student's t with n-2 dof."""
+    """Pearson r and the two-tailed p-value from Student's t with n-2 dof.
+
+    A NaN or infinity in x or y raises ExplainError naming the argument.
+    """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     n = len(x)
@@ -329,6 +363,10 @@ def pearson(x, y) -> tuple[float, float]:
         raise ExplainError("length mismatch")
     if n < 3:
         raise ExplainError("need at least 3 observations")
+    for name, values in (("x", x), ("y", y)):
+        bad = np.flatnonzero(~np.isfinite(values))
+        if len(bad):
+            raise ExplainError(f"{name} holds a non-finite value ({values[bad[0]]}) at {bad[0]}")
     xc = x - x.mean()
     yc = y - y.mean()
     sx = np.sqrt(np.dot(xc, xc))

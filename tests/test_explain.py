@@ -21,6 +21,7 @@ from vocalkit.explain import (
     _ROW_CUT,
     _design_rows,
 )
+from vocalkit import explain
 from vocalkit.classify import Tree, predict_proba, train
 from vocalkit.features import FeatureVector
 from vocalkit.pairing import ClipRecord
@@ -286,6 +287,33 @@ def gbt_with_a_leaf_only_tree():
     return X, model
 
 
+def gbt_reading(n_read, d, n_classes, seed, **hyper):
+    """A GBT fitted to random labels where only the first n_read of d
+    features vary, so its trees read only those; the returned X varies on
+    every feature."""
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((40, d))
+    y = np.arange(40) % n_classes
+    rng.shuffle(y)
+    fit = X.copy()
+    fit[:, n_read:] = 0.0  # a constant column offers no split
+    return X, train("gradient_boosted_trees", fit, y, hyper={"n_rounds": 12, **hyper}, seed=seed)
+
+
+def few_features_gbt():
+    return gbt_reading(4, 24, 3, 6, max_depth=2)
+
+
+def stumps_on_one_feature_gbt():
+    return gbt_reading(1, 12, 2, 7, max_depth=1)
+
+
+def read_features(model):
+    """The union of the trees' split features, and how many sets of them the trees have."""
+    sets = {tree.split_features for trees in model.params["trees"] for tree in trees}
+    return set().union(*sets), len(sets)
+
+
 def gbt_with_nan():
     X, model = random_label_gbt(40, 7, 2, 5, max_depth=2)
     X = X.copy()
@@ -300,6 +328,7 @@ class TestCompactRows:
 
     @pytest.mark.parametrize("make", [
         stumps_gbt, deep_gbt, three_class_deep_gbt, gbt_with_a_leaf_only_tree, gbt_with_nan,
+        few_features_gbt, stumps_on_one_feature_gbt,
     ])
     def test_matches_the_per_row_reference(self, make):
         X, model = make()
@@ -326,6 +355,17 @@ class TestCompactRows:
         assert 0 in split_feature_counts(gbt_with_a_leaf_only_tree()[1])
         X, _ = gbt_with_nan()
         assert np.isnan(X[0]).any() and np.isnan(X[1::2]).any()
+        # the read features pass the cut, with trees in several groups or in one
+        X, model = few_features_gbt()
+        read, n_sets = read_features(model)
+        assert _ROW_CUT * (len(read) + 1) <= X.shape[1] + 1 and n_sets > 2
+        assert model.n_classes == 3
+        X, model = stumps_on_one_feature_gbt()
+        read, n_sets = read_features(model)
+        assert len(read) == 1 and n_sets == 1
+        # a deep model reads too many features: its scores cover every design row
+        X, model = deep_gbt()
+        assert _ROW_CUT * (len(read_features(model)[0]) + 1) > X.shape[1] + 1
 
     def test_a_callable_matches_the_per_row_reference(self, rng):
         background = rng.standard_normal((6, 5))
@@ -357,6 +397,25 @@ class TestCompactRows:
         for m, n_rows in routed:
             compact = _ROW_CUT * (m + 1) <= d + 1
             assert n_rows == n_permutations * ((m if compact else d) + 1)
+
+    @pytest.mark.parametrize("make", [
+        few_features_gbt, stumps_on_one_feature_gbt, deep_gbt, stumps_gbt,
+    ])
+    def test_scores_are_added_over_the_rows_the_model_tells_apart(self, make, monkeypatch):
+        X, model = make()
+        d, n_permutations = X.shape[1], 15
+        n_rows = []
+        real = explain.boosted_proba
+
+        def boosted_proba(model, n, leaves):
+            n_rows.append(n)
+            return real(model, n, leaves)
+
+        monkeypatch.setattr(explain, "boosted_proba", boosted_proba)
+        shapley_values(model, X[1::2], X[0], n_permutations=n_permutations, seed=0)
+        u = len(read_features(model)[0])
+        steps = u + 1 if _ROW_CUT * (u + 1) <= d + 1 else d + 1
+        assert n_rows == [n_permutations * steps]
 
     def test_design_rows(self, rng):
         n_perm, d = 7, 9
@@ -427,6 +486,14 @@ class TestPearson:
         assert r == pytest.approx(1.0, abs=1e-12) and p < 1e-10
         r, p = pearson(x, -x)
         assert r == pytest.approx(-1.0, abs=1e-12) and p < 1e-10
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input(self, bad):
+        clean = [2.0, 1.0, 3.0, 5.0, 4.0]
+        with pytest.raises(ExplainError, match=r"^x holds a non-finite value \((nan|inf|-inf)\) at 2$"):
+            pearson([1.0, 2.0, bad, 4.0, 5.0], clean)
+        with pytest.raises(ExplainError, match=r"^y holds a non-finite value .* at 4$"):
+            pearson(clean, [1.0, 2.0, 3.0, 4.0, bad])
 
     def test_degenerate_inputs(self):
         with pytest.raises(ExplainError):
