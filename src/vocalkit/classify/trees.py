@@ -7,7 +7,7 @@ steps, a handful of numpy operations per depth level.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -53,6 +53,19 @@ class Tree:
     def split_features(self) -> tuple:
         """The features its splits read, ascending."""
         return tuple(np.unique(self.feature[self.feature >= 0]).tolist())
+
+    def renumbered(self, columns) -> Tree:
+        """A copy that reads column j of a row wherever this tree reads
+        feature columns[j]; ``columns`` ascends and holds its split features.
+
+        Only ``feature`` differs; the routing is this tree's with the features
+        renumbered, not worked out again.
+        """
+        feature = np.where(self.feature >= 0, np.searchsorted(columns, self.feature), -1)
+        tree = replace(self, feature=feature)
+        depth, _, threshold, children = self._routing
+        tree.__dict__["_routing"] = depth, np.maximum(feature, 0), threshold, children
+        return tree
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         """Route all rows to their leaf and return the leaf values.

@@ -4,16 +4,21 @@ Shapley values are estimated model-agnostically by permutation sampling; the
 value function is the predicted probability of the instance's argmax class.
 ``shapley_values(..., exhaustive=True)`` enumerates every feature subset
 instead (d <= 16); ``mean_abs_shap`` always samples.
-An instance's sampled permutations are evaluated in one batch, a design of
-d + 1 rows per permutation.  A boosted tree tells apart only the m + 1 of
-them at which one of its m split features switches, so it routes just those.
-The model's scores are added up over the rows that the union of all its
-trees' split features tells apart, when that union is small, and otherwise
-over every design row (the structure behind TreeSHAP; Lundberg et al.,
-Nature MI 2020).  The values are the same, bit for bit, as routing and
-scoring every design row.
+An instance's sampled permutations form a design of d + 1 rows per
+permutation.  A boosted model is evaluated only on the features its trees
+read, the union U of their split features, when U is small: its rows hold
+only U's columns, P * (|U| + 1) of them per instance, and a feature that no
+tree reads gets exactly 0.0 with no design row built for it (the structure
+behind TreeSHAP; Lundberg et al., Nature MI 2020).  A tree with m split
+features routes only the m + 1 rows per permutation at which one of them
+switches.  ``mean_abs_shap`` scores its sampled rows in batches, as many as
+keep a batch's rows within one instance's every-feature design, so one
+instance at a time for a black box or a model that reads too many
+features.  The values are the same, bit for bit, as routing and scoring
+every design row of one instance at a time.
 Pearson correlation against matched host-speech features comes with a
-seeded random-pairing baseline; non-finite input is an error.
+seeded random-pairing baseline; non-finite input or a constant feature is
+an error that names the feature and the side.
 """
 
 from __future__ import annotations
@@ -89,24 +94,29 @@ def dim_type_of(name: str) -> str:
     return "Spectral"
 
 
-def _value_fn(model):
+def _value_fn(model, d):
     """A model or callable as (batched value function, argmax-class targets,
-    permutation-design values).
+    space, permutation-design values).
 
-    fn(rows, target) is each row's value; targets_of(rows) is each row's
-    explained class, from one batched prediction; sampled(target, x, base,
-    rank) is the value of every row of a permutation design (_design_rows),
-    in (permutation, step) order.
+    fn(rows, target) is each row's value, target one class or one per row;
+    targets_of(rows) is each row's explained class, from one batched
+    prediction.  ``space`` holds the features that can change the model's
+    output, ascending (every feature of a black box).  sampled(target, x,
+    base, rank) is the value of every row of the permutation design over the
+    space alone (_design_rows with every space feature), in (permutation,
+    step) order, row p for class target[p]: row p of x, base and rank holds
+    permutation p's instance, its background row and each space feature's
+    rank among the space's features, on the space's columns only.
     """
     if isinstance(model, TrainedModel):
         def fn(rows, target):
-            return predict_proba(model, rows)[:, target]
+            return predict_proba(model, rows)[np.arange(len(rows)), target]
 
         def targets_of(rows):
             return np.argmax(predict_proba(model, rows), axis=1)
 
         if model.family == "gradient_boosted_trees":
-            return fn, targets_of, _boosted_design_values(model)
+            return fn, targets_of, *_boosted_design_values(model)
     else:
         # plain callable returning a scalar (or vector) per row
         def fn(rows, target):
@@ -117,28 +127,29 @@ def _value_fn(model):
 
     def sampled(target, x, base, rank):
         # a black box may read every feature: one group that holds all d
-        rows, _ = _design_rows(x, base, rank, range(len(x)))
-        return fn(rows, target)
+        rows, _ = _design_rows(x, base, rank, range(d))
+        return fn(rows, np.repeat(target, d + 1))
 
-    return fn, targets_of, sampled
+    return fn, targets_of, tuple(range(d)), sampled
 
 
 def _boosted_design_values(model):
-    """``sampled`` of _value_fn for a boosted model.
+    """``space`` and ``sampled`` of _value_fn for a boosted model.
 
-    Each tree routes only the design rows its split features tell apart, and
-    trees that split on the same features share those rows (a group); a
-    group's rows are freed after its last tree.  A tree that would route more
-    than 1/_ROW_CUT of the design rows is in the group of every feature.
+    The space is the union U of all the trees' split features when it
+    passes the cut below, and every feature otherwise.  Each tree routes
+    only the space rows its split features tell apart, and trees that split
+    on the same features share those rows (a group); a group's rows are
+    freed after its last tree.  A tree that would route more than 1/_ROW_CUT
+    of a design's rows is in the group of the whole space.  A group's rows
+    hold only its features' columns, so each tree routes them as a copy,
+    made here once, that reads the same features by their column.
 
-    The scores are added up in one space of rows.  When the union U of all
-    the trees' split features passes the same cut, that space is U's compact
-    rows: design rows that agree on U agree on every split, so ``boosted_proba``
-    scores P*(|U|+1) rows and one ``take`` spreads the probabilities over the
-    P*(d+1) design rows (every tree's features lie in U, so no tree is in the
-    every-feature group).  Otherwise the space is every design row.  Each row
-    adds the same ``learning_rate * leaf`` values in the same order, and the
-    softmax works row by row, so the values are the same, bit for bit."""
+    ``boosted_proba`` adds the scores over the space rows.  Design rows that
+    agree on U reach the same leaf in every tree, and each row adds the same
+    ``learning_rate * leaf`` values in the same order, with the softmax
+    working row by row, so the values are the same, bit for bit, as
+    predicting every design row."""
     d = model.feature_dim
     trees = [tree for round_trees in model.params["trees"] for tree in round_trees]
 
@@ -148,51 +159,42 @@ def _boosted_design_values(model):
     space = tuple(sorted(set().union(*(tree.split_features for tree in trees))))
     if not compact(space):
         space = tuple(range(d))
-    key_of = {
-        id(tree): tree.split_features if compact(tree.split_features) else space
-        for tree in trees
-    }
-    uses = Counter(key_of[id(tree)] for tree in trees)
+    routed = {}  # tree identity -> (copy reading its group's columns, the group in the space)
+    for tree in trees:
+        group = tree.split_features if compact(tree.split_features) else space
+        routed[id(tree)] = tree.renumbered(group), tuple(np.searchsorted(space, group).tolist())
+    uses = Counter(key for _, key in routed.values())
 
     def sampled(target, x, base, rank):
         left, built = dict(uses), {}
-        if len(space) == d:
-            n_rows, space_index = len(base) * (d + 1), None
-        else:
-            rows, space_index = _design_rows(x, base, rank, space)
-            built[space] = rows, None
-            n_rows = len(rows)
-            # the first design step of each row of the space
-            first = np.flatnonzero(np.diff(space_index, prepend=-1))
 
         def leaves(tree):
-            key = key_of[id(tree)]
+            copy, key = routed[id(tree)]
             design = built.get(key)
             if design is None:
-                rows, index = _design_rows(x, base, rank, key)
-                if space_index is not None:
-                    index = index.take(first)
-                design = built[key] = rows, index
+                design = built[key] = _design_rows(x, base, rank, key)
             left[key] -= 1
             if not left[key]:  # the group's last tree: free its rows
                 del built[key]
             rows, index = design
-            return tree.predict(rows), index
+            return copy.predict(rows), index
 
-        values = boosted_proba(model, n_rows, leaves)[:, target]
-        return values if space_index is None else values.take(space_index)
+        n_rows = len(x) * (len(space) + 1)
+        values = boosted_proba(model, n_rows, leaves)
+        return values[np.arange(n_rows), np.repeat(target, len(space) + 1)]
 
-    return sampled
+    return space, sampled
 
 
 def _design_rows(x, base, rank, features):
     """The rows of a permutation design that a model reading only
-    ``features`` (m of them) tells apart, and which one each design row is.
+    ``features`` (m of them) tells apart, holding only their columns, and
+    which one each design row is.
 
-    Design row (p, s), s = 0..d, takes x on the features ranked below s in
-    permutation p (``rank[p, i]`` is feature i's position), base[p]
-    elsewhere.  Compact row (p, j), j = 0..m, takes x on the first j of
-    ``features`` to switch, base[p] elsewhere.  With every feature, in
+    Design row (p, s), s = 0..d, takes x[p] on the features ranked below s
+    in permutation p (``rank[p, i]`` is feature i's position), base[p]
+    elsewhere.  Compact row (p, j), j = 0..m, takes x[p] on the first j of
+    ``features`` to switch, base[p] on the others.  With every feature, in
     order, the compact rows are the design rows, and the index is None.
     """
     features = np.asarray(features, dtype=np.int64)
@@ -204,13 +206,11 @@ def _design_rows(x, base, rank, features):
     starts[:, 0] = 0
     starts[:, 1:-1] = np.sort(rank_f, axis=1) + 1
     starts[:, -1] = d + 1
-    switched = np.where(
-        rank_f[:, None, :] < starts[:, :-1, None], x[features], base[:, None, features]
+    rows = np.where(
+        rank_f[:, None, :] < starts[:, :-1, None], x[:, None, features], base[:, None, features]
     ).reshape(n_perm * (m + 1), m)
     if m == d:
-        return switched, None
-    rows = np.repeat(base, m + 1, axis=0)
-    rows[:, features] = switched
+        return rows, None
     return rows, np.repeat(np.arange(len(rows)), np.diff(starts, axis=1).ravel())
 
 
@@ -235,7 +235,7 @@ def shapley_values(
         raise ExplainError("background/instance dimension mismatch")
     if len(background) == 0:
         raise ExplainError("empty background")
-    fn, targets_of, sampled = _value_fn(model)
+    fn, targets_of, space, sampled = _value_fn(model, d)
     target = int(targets_of(x[None, :])[0])
 
     if exhaustive:
@@ -263,38 +263,59 @@ def shapley_values(
                 phi[i] += w * (values[tuple(sorted(in_s | {i}))] - values[s])
         return phi
 
-    return _permutation_shapley(sampled, target, background, x, n_permutations, seed)
+    return _permutation_shapley(
+        space, sampled, [target], background, x[None, :], n_permutations, [seed]
+    )[0]
 
 
-def _permutation_shapley(sampled, target, background, x, n_permutations, seed) -> np.ndarray:
-    """Permutation-sampling estimate of x's Shapley values (Strumbelj &
-    Kononenko, KAIS 2014), all permutations evaluated in one batch by
-    ``sampled`` of _value_fn."""
+def _permutation_shapley(space, sampled, targets, background, X, n_permutations, seeds):
+    """Permutation-sampling estimates of the Shapley values of the rows of X
+    (Strumbelj & Kononenko, KAIS 2014), row b explaining class targets[b]
+    with permutations drawn from seeds[b]; ``space`` and ``sampled`` are
+    _value_fn's, and every permutation of every row is evaluated in one
+    call of ``sampled``.  A feature outside the space switches between rows
+    the model cannot tell apart, so each of its steps is v - v = +0.0 and
+    its value is 0.0.
+    """
     if n_permutations < 1:
         raise ExplainError("n_permutations must be >= 1")
-    d = len(x)
-    rng = np.random.default_rng(seed)
+    n_rows, d = X.shape
+    space = np.asarray(space, dtype=np.int64)
+    m = len(space)
+    base = np.empty((n_rows, n_permutations, m))
+    rank = np.empty((n_rows, n_permutations, m), dtype=np.int64)
     picks = np.empty(n_permutations, dtype=np.int64)
     orders = np.empty((n_permutations, d), dtype=np.int64)
-    for p in range(n_permutations):
-        picks[p] = rng.integers(len(background))
-        orders[p] = rng.permutation(d)
-    rank = np.argsort(orders, axis=1)  # rank[p, i]: position of feature i in order p
-    # row s of permutation p takes x on the features ranked below s, b_p elsewhere
-    evals = sampled(target, x, background[picks], rank).reshape(n_permutations, d + 1)
-    # feature i's marginal contribution in permutation p is the step at rank[p, i]
-    contrib = np.take_along_axis(np.diff(evals, axis=1), rank, axis=1)
-    phi = np.zeros(d)
-    for row in contrib:  # one permutation at a time: the addition order fixes the bits
-        phi += row
-    return phi / n_permutations
+    for b, seed in enumerate(seeds):
+        rng = np.random.default_rng(seed)
+        for p in range(n_permutations):
+            picks[p] = rng.integers(len(background))
+            orders[p] = rng.permutation(d)
+        base[b] = background[np.ix_(picks, space)]
+        # each space feature's position in each order, then its rank among the space's
+        rank[b] = np.argsort(np.argsort(np.argsort(orders, axis=1)[:, space], axis=1), axis=1)
+    # row s of permutation p takes x on the space features ranked below s, b_p elsewhere
+    n_perm = n_rows * n_permutations
+    evals = sampled(
+        np.repeat(targets, n_permutations), np.repeat(X[:, space], n_permutations, axis=0),
+        base.reshape(n_perm, m), rank.reshape(n_perm, m),
+    ).reshape(n_rows, n_permutations, m + 1)
+    # feature i's marginal contribution in permutation p is the step at its rank
+    contrib = np.take_along_axis(np.diff(evals, axis=2), rank, axis=2)
+    # phi adds the permutations one at a time from +0.0: the addition order
+    # fixes the bits, and a cumulative sum keeps it
+    steps = np.zeros((n_rows, n_permutations + 1, m))
+    steps[:, 1:] = contrib
+    phi = np.zeros((n_rows, d))
+    phi[:, space] = np.cumsum(steps, axis=1)[:, -1] / n_permutations
+    return phi
 
 
 def efficiency_check(model, background, x, attributions) -> float:
     """Residual of the efficiency axiom: |sum(phi) - (f(x) - mean f(bg))|."""
     background = np.atleast_2d(np.asarray(background, dtype=float))
     x = np.asarray(x, dtype=float).ravel()
-    fn, targets_of, _ = _value_fn(model)
+    fn, targets_of, _, _ = _value_fn(model, len(x))
     target = int(targets_of(x[None, :])[0])
     fx = float(fn(x[None, :], target)[0])
     fbg = float(fn(background, target).mean())
@@ -313,8 +334,8 @@ def mean_abs_shap(
     """Mean |Shapley value| per feature over sampled rows, sorted descending.
 
     ``sample_size`` rows of X are explained (all of them when None, or when
-    it exceeds their number).  Features above the cutoff are flagged
-    prominent.
+    it exceeds their number), in batches scored by one call each.  Features
+    above the cutoff are flagged prominent.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or len(X) == 0:
@@ -329,15 +350,20 @@ def mean_abs_shap(
     sample_idx = np.sort(rng.choice(n, size=sample_size, replace=False))
     bg_idx = np.sort(rng.choice(n, size=min(SHAP_BACKGROUND_SIZE, n), replace=False))
     background = X[bg_idx]
-    _, targets_of, sampled = _value_fn(model)
+    _, targets_of, space, sampled = _value_fn(model, d)
     targets = targets_of(X[sample_idx])
+    # a batch's design over the space's m features, B * P * (m + 1) * m
+    # values, holds at most one row's every-feature design, P * (d + 1) * d
+    m = len(space)
+    batch = max(1, (d + 1) * d // ((m + 1) * max(m, 1)))
     total = np.zeros(d)
-    for pos, (i, target) in enumerate(zip(sample_idx, targets)):
-        phi = _permutation_shapley(
-            sampled, int(target), background, X[i], n_permutations,
-            seed=seed + 1000003 * (pos + 1),
-        )
-        total += np.abs(phi)
+    for start in range(0, sample_size, batch):
+        pos = np.arange(start, min(start + batch, sample_size))
+        for phi in _permutation_shapley(
+            space, sampled, targets[pos], background, X[sample_idx[pos]], n_permutations,
+            seeds=[seed + 1000003 * (p + 1) for p in pos.tolist()],
+        ):
+            total += np.abs(phi)
     mean_abs = total / sample_size
     order = np.argsort(-mean_abs, kind="stable")
     return [
@@ -351,10 +377,11 @@ def mean_abs_shap(
     ]
 
 
-def pearson(x, y) -> tuple[float, float]:
+def pearson(x, y, names=("x", "y")) -> tuple[float, float]:
     """Pearson r and the two-tailed p-value from Student's t with n-2 dof.
 
-    A NaN or infinity in x or y raises ExplainError naming the argument.
+    A NaN or infinity in x or y, or an x or y of zero variance, raises
+    ExplainError naming the argument by its entry in ``names``.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -363,7 +390,7 @@ def pearson(x, y) -> tuple[float, float]:
         raise ExplainError("length mismatch")
     if n < 3:
         raise ExplainError("need at least 3 observations")
-    for name, values in (("x", x), ("y", y)):
+    for name, values in zip(names, (x, y)):
         bad = np.flatnonzero(~np.isfinite(values))
         if len(bad):
             raise ExplainError(f"{name} holds a non-finite value ({values[bad[0]]}) at {bad[0]}")
@@ -371,8 +398,9 @@ def pearson(x, y) -> tuple[float, float]:
     yc = y - y.mean()
     sx = np.sqrt(np.dot(xc, xc))
     sy = np.sqrt(np.dot(yc, yc))
-    if sx == 0.0 or sy == 0.0:
-        raise ExplainError("zero variance")
+    for name, values, spread in zip(names, (x, y), (sx, sy)):
+        if spread == 0.0:
+            raise ExplainError(f"{name} has zero variance (every value is {values[0]})")
     r = float(np.dot(xc, yc) / (sx * sy))
     r = max(-1.0, min(1.0, r))
     df = n - 2
@@ -395,6 +423,8 @@ def correlate_pairs(
 
     Host features are averaged per source video.  The random baseline repeats
     the computation after a seeded permutation of the per-video host rows.
+    A feature that is constant or non-finite over the matched dog clips or
+    their host speech raises ExplainError naming the feature and the side.
     """
     name_idx = None
     host_by_video: dict[str, list[np.ndarray]] = {}
@@ -431,8 +461,10 @@ def correlate_pairs(
         if name_idx is None or name not in name_idx:
             raise ExplainError(f"unknown feature dimension {name!r}")
         i = name_idx[name]
-        r_host, p_host = pearson(dog_mat[:, i], host_mat[:, i])
-        r_rand, p_rand = pearson(dog_mat[:, i], host_mat[perm, i])
+        sides = (f"feature {name!r} over the {len(dog_mat)} matched dog clips",
+                 f"feature {name!r} over their videos' host speech")
+        r_host, p_host = pearson(dog_mat[:, i], host_mat[:, i], sides)
+        r_rand, p_rand = pearson(dog_mat[:, i], host_mat[perm, i], sides)
         out.append(
             PearsonRow(
                 feature_name=name,

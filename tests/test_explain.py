@@ -314,6 +314,27 @@ def read_features(model):
     return set().union(*sets), len(sets)
 
 
+def all_leaves_gbt():
+    """A GBT whose every tree is a leaf, so no tree reads a feature."""
+    X, model = random_label_gbt(40, 8, 2, 8, max_depth=2)
+    model.params["trees"] = [[leaf_only_tree(0.1 * (r % 3) - 0.05 * k) for k in range(2)]
+                             for r in range(len(model.params["trees"]))]
+    return X, model
+
+
+def spy_boosted_rows(monkeypatch):
+    """The row count of each ``boosted_proba`` call the Shapley design makes."""
+    n_rows = []
+    real = explain.boosted_proba
+
+    def boosted_proba(model, n, leaves):
+        n_rows.append(n)
+        return real(model, n, leaves)
+
+    monkeypatch.setattr(explain, "boosted_proba", boosted_proba)
+    return n_rows
+
+
 def gbt_with_nan():
     X, model = random_label_gbt(40, 7, 2, 5, max_depth=2)
     X = X.copy()
@@ -418,21 +439,77 @@ class TestCompactRows:
         assert n_rows == [n_permutations * steps]
 
     def test_design_rows(self, rng):
+        # x differs per permutation; compact rows hold only the given features' columns
         n_perm, d = 7, 9
         rank = np.argsort(np.stack([rng.permutation(d) for _ in range(n_perm)]), axis=1)
-        x, base = rng.standard_normal(d), rng.standard_normal((n_perm, d))
-        design = np.where(rank[:, None, :] < np.arange(d + 1)[None, :, None], x, base[:, None, :])
+        x, base = rng.standard_normal((n_perm, d)), rng.standard_normal((n_perm, d))
+        design = np.where(rank[:, None, :] < np.arange(d + 1)[None, :, None],
+                          x[:, None, :], base[:, None, :])
         design = design.reshape(-1, d)
         rows, index = _design_rows(x, base, rank, range(d))
         assert rows.tobytes() == design.tobytes() and index is None
         for features in ((), (4,), (0, 5, 8), (1, 2, 3, 6)):
             rows, index = _design_rows(x, base, rank, features)
             m = len(features)
-            assert rows.shape == (n_perm * (m + 1), d)
-            assert np.array_equal(rows[index][:, list(features)], design[:, list(features)])
+            assert rows.shape == (n_perm * (m + 1), m)
+            assert rows[index].tobytes() == design[:, list(features)].tobytes()
             # each permutation's compact rows are distinct, in switching order
             assert np.array_equal(index.reshape(n_perm, d + 1)[:, [0, -1]],
                                   np.arange(n_perm)[:, None] * (m + 1) + [0, m])
+
+    @pytest.mark.parametrize("make, sample_size", [
+        (few_features_gbt, 40), (stumps_on_one_feature_gbt, 40), (deep_gbt, 5),
+        (all_leaves_gbt, 12),
+    ])
+    def test_one_boosted_call_per_batch_of_explained_rows(self, make, sample_size, monkeypatch):
+        X, model = make()
+        d, n_permutations = X.shape[1], 6
+        u = len(read_features(model)[0])
+        if _ROW_CUT * (u + 1) > d + 1:
+            u = d  # the space is every feature
+        batch = max(1, (d + 1) * d // ((u + 1) * max(u, 1)))
+        n_rows = spy_boosted_rows(monkeypatch)
+        rows = mean_abs_shap(model, X, [f"f{i}" for i in range(d)], sample_size=sample_size,
+                             seed=5, n_permutations=n_permutations)
+        sizes = [min(batch, sample_size - start) for start in range(0, sample_size, batch)]
+        assert n_rows == [b * n_permutations * (u + 1) for b in sizes]
+        want = mean_abs_shap_reference(model, X, sample_size, 5, n_permutations)
+        got = np.array([dict((r.feature_name, r.mean_abs_shap) for r in rows)[f"f{i}"]
+                        for i in range(d)])
+        assert got.tobytes() == want.tobytes()
+
+    def test_the_batch_cases_cover_what_they_name(self):
+        X, model = few_features_gbt()
+        u, d = len(read_features(model)[0]), X.shape[1]
+        batch = (d + 1) * d // ((u + 1) * u)
+        assert 1 < batch < len(X) and len(X) % batch  # full batches and a short last one
+        assert read_features(all_leaves_gbt()[1])[0] == set()
+
+    def test_no_tree_reads_a_feature_so_every_value_is_zero(self, monkeypatch):
+        X, model = all_leaves_gbt()
+        n_rows = spy_boosted_rows(monkeypatch)
+        for i in (0, 7):
+            phi = shapley_values(model, X[1::2], X[i], n_permutations=15, seed=i)
+            ref = permutation_shapley_reference(model, X[1::2], X[i], 15, seed=i)
+            assert phi.tobytes() == ref.tobytes() == np.zeros(X.shape[1]).tobytes()
+        assert n_rows == [15, 15]  # one row per permutation: nothing switches
+        rows = mean_abs_shap(model, X, [f"f{i}" for i in range(X.shape[1])], sample_size=4)
+        assert [r.mean_abs_shap for r in rows] == [0.0] * X.shape[1]
+
+    def test_a_feature_no_tree_reads_gets_exactly_zero(self):
+        X, model = few_features_gbt()
+        read = read_features(model)[0]
+        unread = [i for i in range(X.shape[1]) if i not in read]
+        assert unread and read
+        for i in (0, 7, 20):
+            phi = shapley_values(model, X[1::2], X[i], n_permutations=15, seed=i)
+            ref = permutation_shapley_reference(model, X[1::2], X[i], 15, seed=i)
+            assert phi.tobytes() == ref.tobytes()
+            assert phi[unread].tobytes() == np.zeros(len(unread)).tobytes()  # +0.0, not -0.0
+            assert np.any(phi[sorted(read)] != 0.0)
+        rows = mean_abs_shap(model, X, [f"f{i}" for i in range(X.shape[1])], sample_size=6)
+        by_name = {r.feature_name: r.mean_abs_shap for r in rows}
+        assert all(by_name[f"f{i}"] == 0.0 for i in unread)
 
 
 class TestMeanAbsShapSizes:
@@ -494,6 +571,12 @@ class TestPearson:
             pearson([1.0, 2.0, bad, 4.0, 5.0], clean)
         with pytest.raises(ExplainError, match=r"^y holds a non-finite value .* at 4$"):
             pearson(clean, [1.0, 2.0, 3.0, 4.0, bad])
+
+    def test_zero_variance_names_the_argument(self):
+        with pytest.raises(ExplainError, match=r"^x has zero variance \(every value is 1.0\)$"):
+            pearson([1.0, 1.0, 1.0], [1.0, 2.0, 3.0])
+        with pytest.raises(ExplainError, match=r"^host has zero variance \(every value is -2.0\)$"):
+            pearson([1.0, 2.0, 3.0], [-2.0, -2.0, -2.0], names=("dog", "host"))
 
     def test_degenerate_inputs(self):
         with pytest.raises(ExplainError):
@@ -576,6 +659,32 @@ class TestCorrelatePairs:
         records, dog_feats, host_feats = self._make(n_videos=5)
         with pytest.raises(ExplainError):
             correlate_pairs(records, dog_feats, host_feats, ["nope"])
+
+    @pytest.mark.parametrize("side, bad, message", [
+        ("dog", 2.5,
+         "feature 'c0' over the 6 matched dog clips has zero variance (every value is 2.5)"),
+        ("host", -1.0,
+         "feature 'c0' over their videos' host speech has zero variance (every value is -1.0)"),
+    ])
+    def test_a_constant_feature_is_named_with_its_side(self, side, bad, message):
+        records, dog_feats, host_feats = self._make(n_videos=6)
+        feats = dog_feats if side == "dog" else host_feats
+        for clip_id in feats:
+            feats[clip_id] = _fv([bad], clip_id)
+        with pytest.raises(ExplainError) as exc:
+            correlate_pairs(records, dog_feats, host_feats, ["c0"])
+        assert str(exc.value) == message
+
+    def test_a_non_finite_feature_is_named_with_its_side(self):
+        # two finite host rows whose per-video mean overflows
+        records, dog_feats, host_feats = self._make(n_videos=6, hosts_per_video=2)
+        for clip_id in ("host003_0", "host003_1"):
+            host_feats[clip_id] = _fv([1e308], clip_id)
+        with pytest.raises(ExplainError) as exc, np.errstate(over="ignore"):
+            correlate_pairs(records, dog_feats, host_feats, ["c0"])
+        assert str(exc.value) == (
+            "feature 'c0' over their videos' host speech holds a non-finite value (inf) at 3"
+        )
 
     def test_seeded_baseline_deterministic(self):
         records, dog_feats, host_feats = self._make()

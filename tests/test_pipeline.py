@@ -515,6 +515,22 @@ def test_oscillator_error_names_the_clip(corpus, tmp_path):
         run_speed(make_cfg(corpus, tmp_path), manifest)
 
 
+def test_a_constant_feature_names_itself_in_the_explain_error(tmp_path):
+    # both groups planted alike at 48 kHz: every dog clip reads the same
+    # VoicedSegmentsPerSec, so its correlation with the host speech is undefined
+    same = dict(planted_f0_hz=450.0, planted_am_rate_hz=4.0)
+    spec = SynthSpec(4, (SynthGroup("En", **same), SynthGroup("Ja", **same)), seed=7,
+                     sample_rate=48000)
+    manifest_path, _ = generate(spec, tmp_path / "corpus")
+    cfg = RunConfig(manifest_path=manifest_path, out_dir=str(tmp_path / "out"), seed=0)
+    with pytest.raises(StageError) as exc:
+        run_stages(cfg, ["extract", "explain"])
+    assert str(exc.value) == (
+        "stage explain: feature 'VoicedSegmentsPerSec' over the 8 matched dog clips"
+        " has zero variance (every value is 3.5)"
+    )
+
+
 def count_decodes(monkeypatch):
     """Record the clip id of every load_audio and resample call.  Pins the
     run to 1 usable CPU: the counter sees this process only."""
