@@ -425,14 +425,7 @@ class TestCompactRows:
     def test_scores_are_added_over_the_rows_the_model_tells_apart(self, make, monkeypatch):
         X, model = make()
         d, n_permutations = X.shape[1], 15
-        n_rows = []
-        real = explain.boosted_proba
-
-        def boosted_proba(model, n, leaves):
-            n_rows.append(n)
-            return real(model, n, leaves)
-
-        monkeypatch.setattr(explain, "boosted_proba", boosted_proba)
+        n_rows = spy_boosted_rows(monkeypatch)
         shapley_values(model, X[1::2], X[0], n_permutations=n_permutations, seed=0)
         u = len(read_features(model)[0])
         steps = u + 1 if _ROW_CUT * (u + 1) <= d + 1 else d + 1
